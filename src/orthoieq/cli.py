@@ -83,20 +83,6 @@ def _decimal(x, mp, digits):
     return mp.nstr(mp.mpf(x), digits)
 
 
-def scalar_pretty(s: Scalar, context: PrecisionContext) -> str:
-    if s.is_rational():
-        f = s.as_fraction()
-        return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
-    re, im = s.real_imag(context.precision)
-    mp = context.mp
-    re_s = mp.nstr(mp.mpf(re), 6)
-    if im == 0:
-        return re_s
-    im_s = mp.nstr(mp.mpf(abs(im)), 6)
-    sign = "+" if im >= 0 else "-"
-    return f"{re_s} {sign} {im_s}i"
-
-
 def scalar_from_json(obj, mode: str, context: PrecisionContext) -> Scalar:
     if "num" in obj:
         value = Scalar.exact(Fraction(int(obj["num"]), int(obj["den"])))

@@ -1,4 +1,4 @@
-"""Weight-expression trees: recursive-descent parser, printer, evaluators.
+"""Weight-expression trees: recursive-descent parser, printer, float evaluator.
 
 Grammar (offsets in errors are 1-based):
 
@@ -19,10 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import sympy as sp
-
 from .errors import UnknownIdentifierError, WeightSyntaxError
-from .numeric import PrecisionContext, Scalar
+from .numeric import PrecisionContext
 
 FUNCTIONS = ("exp", "log", "sqrt", "sin", "cos", "gamma")
 
@@ -293,42 +291,6 @@ def eval_float(node, x, context: PrecisionContext):
         a = eval_float(node.arg, x, context)
         return getattr(mp, node.func)(a)
     raise TypeError(f"not an expression node: {node!r}")
-
-
-_SYMPY_FUNCS = {
-    "exp": sp.exp,
-    "log": sp.log,
-    "sqrt": sp.sqrt,
-    "sin": sp.sin,
-    "cos": sp.cos,
-    "gamma": sp.gamma,
-}
-
-
-def to_sympy(node, symbol):
-    if isinstance(node, Num):
-        return sp.Rational(node.value.numerator, node.value.denominator)
-    if isinstance(node, Pi):
-        return sp.pi
-    if isinstance(node, Var):
-        return symbol
-    if isinstance(node, Neg):
-        return -to_sympy(node.operand, symbol)
-    if isinstance(node, BinOp):
-        a = to_sympy(node.left, symbol)
-        b = to_sympy(node.right, symbol)
-        return {"+": a + b, "-": a - b, "*": a * b, "/": a / b, "^": a**b}[node.op]
-    if isinstance(node, Call):
-        return _SYMPY_FUNCS[node.func](to_sympy(node.arg, symbol))
-    raise TypeError(f"not an expression node: {node!r}")
-
-
-def eval_scalar(node, x: Scalar, context: PrecisionContext = None) -> Scalar:
-    """Evaluate at a Scalar point, in the point's own mode."""
-    if x.is_exact:
-        return Scalar.exact(to_sympy(node, sp.Symbol("_t")).subs(sp.Symbol("_t"), x.value))
-    ctx = context or PrecisionContext(x.precision)
-    return Scalar(eval_float(node, x.value, ctx), ctx.precision)
 
 
 # ---------------------------------------------------------------------------

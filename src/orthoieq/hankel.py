@@ -73,19 +73,30 @@ def hankel_condition(m, n: int, *, context: PrecisionContext | None = None):
 
 
 def solve_polynomial(m, n: int, *, context: PrecisionContext | None = None) -> Polynomial:
-    """Coefficients of the unique degree-n solution, from B_n a = e_0."""
+    """Coefficients of the unique degree-n solution, from B_n a = e_0.
+
+    An exact B_n is singular iff its elimination runs out of pivots, so only
+    float mode runs hankel_condition first, for its pivot-collapse check.
+    """
     system = HankelSystem.from_moments(m, n)
-    det, valid = hankel_condition(m, n, context=context)
-    if not valid:
-        raise SingularHankelError(
-            f"det B_{n} = {det} is zero (or below the validity threshold); "
-            f"no degree-{n} solution"
-        )
+    exact = system.B[0][0].is_exact
+    if not exact:
+        det, valid = hankel_condition(m, n, context=context)
+        if not valid:
+            raise SingularHankelError(_singular_message(det, n))
     try:
         coeffs = solve_full_pivot([list(row) for row in system.B], list(system.rhs))
     except SingularSystemError as exc:
-        raise SingularHankelError(f"B_{n} system is singular: {exc}") from exc
+        message = _singular_message(0, n) if exact else f"B_{n} system is singular: {exc}"
+        raise SingularHankelError(message) from exc
     return _finish(coeffs, n)
+
+
+def _singular_message(det, n):
+    return (
+        f"det B_{n} = {det} is zero (or below the validity threshold); "
+        f"no degree-{n} solution"
+    )
 
 
 def polynomial_via_determinants(m, n: int, *, context: PrecisionContext | None = None) -> Polynomial:
@@ -98,10 +109,7 @@ def polynomial_via_determinants(m, n: int, *, context: PrecisionContext | None =
     _require(m, 2 * n + 1, f"polynomial_via_determinants(n={n})")
     det, valid = hankel_condition(m, n, context=context)
     if not valid:
-        raise SingularHankelError(
-            f"det B_{n} = {det} is zero (or below the validity threshold); "
-            f"no degree-{n} solution"
-        )
+        raise SingularHankelError(_singular_message(det, n))
     rows = [[m[k + j] for j in range(n + 1)] for k in range(1, n + 1)]
     coeffs = []
     sign = 1

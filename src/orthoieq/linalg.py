@@ -1,6 +1,8 @@
 """Dense linear algebra over Scalars, sized for Hankel systems (tens of rows).
 
-Solves use Gaussian elimination with full pivoting at working precision.
+Solves use Gaussian elimination: exact systems take the first nonzero
+pivot (exact arithmetic gains nothing from magnitude pivoting), float
+systems pivot fully at working precision.
 Determinants use fraction-free Bareiss elimination in exact mode and
 partially pivoted LU in float mode.
 """
@@ -11,25 +13,19 @@ from .errors import SingularSystemError
 from .numeric import Scalar
 
 
-def _magnitudes(matrix):
-    return [[entry.magnitude() for entry in row] for row in matrix]
-
-
 def solve_full_pivot(matrix, rhs):
     """Solve A x = b. Raises SingularSystemError when no pivot is available."""
     n = len(matrix)
     a = [list(row) + [rhs[i]] for i, row in enumerate(matrix)]
     col_of = list(range(n))  # col_of[j] = original column stored at position j
+    exact = all(entry.is_exact for row in matrix for entry in row)
     for step in range(n):
-        best = None
-        best_mag = None
-        for r in range(step, n):
-            for c in range(step, n):
-                if a[r][c].is_zero():
-                    continue
-                mag = a[r][c].magnitude()
-                if best is None or mag > best_mag:
-                    best, best_mag = (r, c), mag
+        nonzero = ((r, c) for r in range(step, n) for c in range(step, n)
+                   if not a[r][c].is_zero())
+        if exact:
+            best = next(nonzero, None)
+        else:
+            best = max(nonzero, key=lambda rc: a[rc[0]][rc[1]].magnitude(), default=None)
         if best is None:
             raise SingularSystemError(f"no pivot at elimination step {step}")
         r, c = best

@@ -2,8 +2,11 @@
 
 Every quantity in the engine is a :class:`Scalar`, which is either
 
-* Exact: a sympy number (rationals, Gaussian rationals, and symbolic
-  pi factors such as ``-2*I/pi``), with error-free arithmetic, or
+* Exact: a ``fractions.Fraction`` whenever the value is rational, and a
+  sympy number only for the values that need it (contour moments with
+  ``I``/``pi`` factors such as ``-2*I/pi``, or irrational normalization
+  constants), with error-free arithmetic. A sympy result that turns out
+  rational is stored as a Fraction again, or
 * Float(p): an mpmath complex number carrying exactly p decimal digits
   of working precision.
 
@@ -69,7 +72,7 @@ class PrecisionContext:
 
     def _convert(self, value):
         if isinstance(value, Fraction):
-            return self.mp.mpf(value.numerator) / value.denominator
+            return _fraction_mpf(self.mp, value)
         return self.mp.convert(value)
 
     def __repr__(self):
@@ -87,11 +90,27 @@ def with_precision(p: int) -> PrecisionContext:
     return PrecisionContext(p)
 
 
-def _canon_exact(expr):
-    # Normalize non-rational exact results (pi / I mixes) so that zero sums collapse.
-    if expr.is_Rational:
-        return expr
-    return sp.expand(expr)
+def _fraction_mpf(mp, value: Fraction):
+    return mp.mpf(value.numerator) / value.denominator
+
+
+def _canon_exact(value):
+    # Rationals are stored as Fraction. Other exact results (pi / I mixes) are
+    # expanded so that zero sums collapse, which may leave a rational again.
+    if isinstance(value, Fraction):
+        return value
+    if not value.is_Rational:
+        value = sp.expand(value)
+        if not value.is_Rational:
+            return value
+    return Fraction(int(value.p), int(value.q))
+
+
+def _sympy_value(value):
+    """An exact value as a sympy number, for arithmetic with a non-rational operand."""
+    if isinstance(value, Fraction):
+        return sp.Rational(value.numerator, value.denominator)
+    return value
 
 
 def _to_exact_value(value):
@@ -101,12 +120,8 @@ def _to_exact_value(value):
         return value.value
     if isinstance(value, bool):
         raise TypeError("bool is not a scalar value")
-    if isinstance(value, int):
-        return sp.Integer(value)
-    if isinstance(value, Fraction):
-        return sp.Rational(value.numerator, value.denominator)
-    if isinstance(value, str):
-        return sp.Rational(Fraction(value))
+    if isinstance(value, (int, Fraction, str)):
+        return Fraction(value)
     if isinstance(value, sp.Expr):
         if value.free_symbols:
             raise ValueError(f"exact scalar must be a number, got {value}")
@@ -153,6 +168,8 @@ class Scalar:
                 )
             return self
         mp = context.mp
+        if isinstance(self.value, Fraction):
+            return Scalar(_fraction_mpf(mp, self.value), context.precision)
         approx = self.value.evalf(context.precision + 10)
         re, im = approx.as_real_imag()
         if im == 0:
@@ -162,22 +179,24 @@ class Scalar:
     # -- predicates --------------------------------------------------------
 
     def is_zero(self) -> bool:
-        if self.is_exact:
+        if self.is_exact and not isinstance(self.value, Fraction):
             return _exact_is_zero(self.value)
         return self.value == 0
 
     def is_rational(self) -> bool:
-        return self.is_exact and self.value.is_Rational
+        return self.is_exact and isinstance(self.value, Fraction)
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational():
             raise ModeError(f"{self} is not an exact rational")
-        return Fraction(int(self.value.p), int(self.value.q))
+        return self.value
 
     def magnitude(self):
         """|self| as an mpf (exact values are sized at 30 digits, for pivoting/thresholds only)."""
         if self.is_exact:
             mp = mp_context(30)
+            if isinstance(self.value, Fraction):
+                return _fraction_mpf(mp, abs(self.value))
             approx = sp.Abs(self.value).evalf(30)
             return mp.convert(approx)
         ctx = mp_context(self.precision)
@@ -187,6 +206,8 @@ class Scalar:
         """Real and imaginary parts as mpf values (rendered at `digits` for exact scalars)."""
         if self.is_exact:
             mp = mp_context(digits or DEFAULT_PRECISION)
+            if isinstance(self.value, Fraction):
+                return _fraction_mpf(mp, self.value), mp.mpf(0)
             approx = self.value.evalf((digits or DEFAULT_PRECISION) + 10)
             re, im = approx.as_real_imag()
             return mp.convert(re), mp.convert(im)
@@ -204,7 +225,10 @@ class Scalar:
             return NotImplemented
         a, b = self, other
         if a.is_exact and b.is_exact:
-            return Scalar(_canon_exact(op(a.value, b.value)))
+            x, y = a.value, b.value
+            if isinstance(x, Fraction) and isinstance(y, Fraction):
+                return Scalar(op(x, y))
+            return Scalar(_canon_exact(op(_sympy_value(x), _sympy_value(y))))
         if not a.is_exact and not b.is_exact:
             if a.precision != b.precision:
                 raise ModeError(
@@ -255,11 +279,6 @@ class Scalar:
             return Scalar(_canon_exact(self.value**exponent))
         return Scalar(self.value**exponent, self.precision)
 
-    def conjugate(self):
-        if self.is_exact:
-            return Scalar(_canon_exact(sp.conjugate(self.value)))
-        return Scalar(self.value.conjugate(), self.precision)
-
     # -- display -----------------------------------------------------------
 
     def __repr__(self):
@@ -276,7 +295,7 @@ class Scalar:
         if other is NotImplemented:
             return NotImplemented
         if self.is_exact and other.is_exact:
-            return _exact_is_zero(self.value - other.value)
+            return _exact_equal(self.value, other.value)
         if self.is_exact != other.is_exact or self.precision != other.precision:
             return False
         return self.value == other.value
@@ -297,6 +316,12 @@ def _coerce(value):
     return NotImplemented
 
 
+def _exact_equal(x, y) -> bool:
+    if isinstance(x, Fraction) and isinstance(y, Fraction):
+        return x == y
+    return _exact_is_zero(_sympy_value(x) - _sympy_value(y))
+
+
 def _exact_is_zero(expr) -> bool:
     z = expr.is_zero
     if z is not None:
@@ -314,7 +339,7 @@ def scalar_eq(a: Scalar, b: Scalar, tol=0) -> bool:
     a = _coerce(a)
     b = _coerce(b)
     if a.is_exact and b.is_exact:
-        return _exact_is_zero(a.value - b.value)
+        return _exact_equal(a.value, b.value)
     p = a.precision if not a.is_exact else b.precision
     ctx = PrecisionContext(p)
     av = a.to_float(ctx).value
@@ -328,7 +353,7 @@ def _tol_value(tol, ctx):
     if isinstance(tol, Scalar):
         return tol.to_float(ctx).value
     if isinstance(tol, Fraction):
-        return ctx.mp.mpf(tol.numerator) / tol.denominator
+        return _fraction_mpf(ctx.mp, tol)
     return tol
 
 

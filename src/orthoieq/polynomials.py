@@ -120,19 +120,21 @@ def orthogonality(Pn: Polynomial, Pm: Polynomial, m) -> Scalar:
 
 def shifted_inner(P: Polynomial, k: int, a, b, m) -> Scalar:
     """<(a+bx)^k P>, by binomial expansion of the shift and moment contraction."""
-    if not isinstance(a, Scalar):
-        a = Scalar.exact(a)
-    if not isinstance(b, Scalar):
-        b = Scalar.exact(b)
+    a, b = _scalar(a), _scalar(b)
     if len(m) < P.degree + k + 1:
         raise InsufficientMomentsError(
             f"<(a+bx)^{k} P> with deg P = {P.degree} needs m_0..m_{P.degree + k}, "
             f"got {len(m)} moments"
         )
+    return _binomial_shift([inner_moment(P, i, m) for i in range(k + 1)], k, a, b)
+
+
+def _binomial_shift(mu, k: int, a: Scalar, b: Scalar) -> Scalar:
+    """sum_i C(k,i) a^(k-i) b^i mu_i, i.e. <(a+bx)^k P> from mu_i = <x^i P>."""
     acc = None
     for i in range(k + 1):
         coeff = Scalar.exact(comb(k, i)) * a ** (k - i) * b**i
-        term = coeff * inner_moment(P, i, m)
+        term = coeff * mu[i]
         acc = term if acc is None else acc + term
     return acc
 
@@ -141,15 +143,19 @@ def integral_image(P: Polynomial, m, a=0, b=1) -> Polynomial:
     """The right side of the shifted integral equation, as a polynomial in x.
 
     integral of w(y) P(y) P(x + a + b y) dy has x^i coefficient
-    sum_{k>=i} a_k C(k,i) <(a+by)^(k-i) P(y)>, a finite moment sum; the
-    additive equation is the a=0, b=1 case.
+    sum_{k>=i} a_k C(k,i) s_(k-i) with s_r = <(a+by)^r P(y)>, a finite
+    moment sum; the additive equation is the a=0, b=1 case. Each
+    mu_t = <y^t P> and each s_r is formed once: O(n^2) scalar operations.
     """
+    a, b = _scalar(a), _scalar(b)
     n = P.degree
+    mu = [inner_moment(P, t, m) for t in range(n + 1)]
+    s = [_binomial_shift(mu, r, a, b) for r in range(n + 1)]
     coeffs = []
     for i in range(n + 1):
         acc = None
         for k in range(i, n + 1):
-            term = P.coeffs[k] * Scalar.exact(comb(k, i)) * shifted_inner(P, k - i, a, b, m)
+            term = P.coeffs[k] * Scalar.exact(comb(k, i)) * s[k - i]
             acc = term if acc is None else acc + term
         coeffs.append(acc)
     return _as_polynomial_allow_zero(coeffs)
@@ -159,6 +165,10 @@ def multiplicative_image(P: Polynomial, m) -> Polynomial:
     """Right side of the multiplicative equation: x^k coefficient a_k <y^k P(y)>."""
     coeffs = [P.coeffs[k] * inner_moment(P, k, m) for k in range(P.degree + 1)]
     return _as_polynomial_allow_zero(coeffs)
+
+
+def _scalar(value) -> Scalar:
+    return value if isinstance(value, Scalar) else Scalar.exact(value)
 
 
 def _as_polynomial_allow_zero(coeffs) -> Polynomial:

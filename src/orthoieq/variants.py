@@ -21,8 +21,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 
-import sympy as sp
-
 from . import expressions as ex
 from .errors import (
     ConfigurationError,
@@ -228,7 +226,7 @@ def _plain_moments(w, count, mode, context, moment_seq):
 
 def _abs_scalar(diff, context):
     if diff.is_exact:
-        return Scalar.exact(0) if diff.is_zero() else Scalar.exact(sp.Abs(diff.value))
+        return Scalar.exact(0) if diff.is_zero() else Scalar.exact(abs(diff.value))
     return Scalar(context.mp.fabs(diff.value), context.precision)
 
 
@@ -239,15 +237,12 @@ def _magnitude(s: Scalar):
 def _functional_image(P, w, f, context):
     n = P.degree
     gen = generalized_moments(w, f, n, n, context=context)
+    inner = [inner_moment(P, 0, row) for row in gen]  # inner[d] = <f(y)^d P(y)>
     coeffs = []
     for i in range(n + 1):
         acc = None
         for k in range(i, n + 1):
-            inner = None
-            for j, a in enumerate(P.coeffs):
-                term = a * gen[k - i][j]
-                inner = term if inner is None else inner + term
-            term = P.coeffs[k] * Scalar.exact(comb(k, i)) * inner
+            term = P.coeffs[k] * Scalar.exact(comb(k, i)) * inner[k - i]
             acc = term if acc is None else acc + term
         coeffs.append(acc)
     qbound = _gen_error_bound(gen, context)

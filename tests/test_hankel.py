@@ -158,6 +158,19 @@ class TestHankelCondition:
         with pytest.raises(SingularHankelError):
             polynomial_via_determinants(m, 1)
 
+    def test_delta_moments_singular_in_exact_solve(self):
+        m = MomentSequence.from_values([1, 1, 1])
+        with pytest.raises(SingularHankelError, match=r"det B_1 = 0 is zero"):
+            solve_polynomial(m, 1)
+
+    def test_exact_solve_pivots_past_zero_entries(self, ctx50):
+        # m_2 = m_1^2 leaves a zero at (1, 1) after the first elimination step
+        m = MomentSequence.from_values([1, 1, 1, 2, 5])
+        P = solve_polynomial(m, 2)
+        assert [c.as_fraction() for c in P.coeffs] == [-1, 3, -1]
+        Pf = solve_polynomial(MomentSequence.from_values([v.to_float(ctx50) for v in m.values]), 2)
+        assert all(scalar_eq(a, b, tol=TOL35) for a, b in zip(P.coeffs, Pf.coeffs))
+
     def test_contour_n1_det(self):
         m = contour_moments(0, 3, mode="exact")
         det, valid = hankel_condition(m, 1)

@@ -128,3 +128,31 @@ def test_exact_to_float_correct_to_p_digits():
     f = Scalar.exact(Fraction(1, 3)).to_float(ctx)
     mp = ctx.mp
     assert abs(f.value - mp.mpf(1) / 3) <= mp.mpf(10) ** -50
+
+
+class TestExactRepresentation:
+    def test_rational_results_are_fractions(self):
+        third = Scalar.exact(Fraction(1, 3))
+        for s in (third + 2, third * third, third / 7, third**3, -third,
+                  Scalar.exact(sp.Rational(3, 4)), Scalar.exact("5/2")):
+            assert isinstance(s.value, Fraction) and s.is_rational()
+
+    def test_contour_values_stay_symbolic_until_they_cancel(self):
+        m1 = Scalar.exact(2 / (sp.I * sp.pi))
+        assert isinstance(m1.value, sp.Expr) and not m1.is_rational()
+        product = m1 * Scalar.exact(sp.I * sp.pi / 2)
+        assert isinstance(product.value, Fraction) and product.as_fraction() == 1
+        difference = m1 - Scalar.exact(-2 * sp.I / sp.pi)
+        assert isinstance(difference.value, Fraction) and difference.is_zero()
+
+    def test_str_renders_like_sympy(self):
+        assert str(Scalar.exact(Fraction(-3, 2))) == "-3/2"
+        assert str(Scalar.exact(7)) == "7"
+        assert str(Scalar.exact(0)) == "0"
+        assert str(Scalar.exact(sp.Rational(-3, 2))) == str(sp.Rational(-3, 2))
+
+    @pytest.mark.parametrize("q", [Fraction(1, 3), Fraction(-22, 7), Fraction(10**80 + 1, 3)])
+    @pytest.mark.parametrize("p", [16, 50, 100])
+    def test_to_float_of_rational_is_mpf_quotient(self, q, p):
+        ctx = PrecisionContext(p)
+        assert Scalar.exact(q).to_float(ctx).value == ctx.mp.mpf(q.numerator) / q.denominator

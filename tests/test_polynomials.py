@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
 import sympy as sp
@@ -18,6 +19,7 @@ from orthoieq import (
     orthogonality,
     preset_weight,
     shifted_inner,
+    solve_polynomial,
 )
 
 small_fraction = st.fractions(
@@ -113,6 +115,16 @@ class TestShiftedInner:
         P = Polynomial([3, 1])
         assert shifted_inner(P, 0, Fraction(7), Fraction(-2), m) == inner_moment(P, 0, m)
 
+    @pytest.mark.parametrize("a,b", [(Fraction(3, 2), 2), (Fraction(-1, 3), Fraction(1, 2))])
+    def test_matches_product_polynomial(self, a, b):
+        # <(a+bx)^k P> = <Q> with Q = (a+bx)^k P multiplied out
+        m = laguerre_moments(12)
+        P = Polynomial([3, -1, Fraction(1, 2), 2])
+        Q = P
+        for k in range(7):
+            assert shifted_inner(P, k, a, b, m) == inner_moment(Q, 0, m)
+            Q = Q * Polynomial([a, b])
+
 
 @settings(max_examples=40, deadline=None)
 @given(
@@ -173,3 +185,36 @@ class TestIntegralImage:
         P = Polynomial([-2, 6])
         image = multiplicative_image(P, m)
         assert all((a - b).is_zero() for a, b in zip(P.coeffs, image.coeffs))
+
+
+def nested_integral_image(P, m, a, b):
+    """Reference route: every x^i coefficient re-contracts each shifted moment, O(n^4)."""
+    n = P.degree
+    coeffs = []
+    for i in range(n + 1):
+        acc = None
+        for k in range(i, n + 1):
+            term = P.coeffs[k] * Scalar.exact(comb(k, i)) * shifted_inner(P, k - i, a, b, m)
+            acc = term if acc is None else acc + term
+        coeffs.append(acc)
+    return coeffs
+
+
+class TestIntegralImageAgainstNestedRoute:
+    SHIFTS = [(0, 1), (Fraction(3, 2), 2), (Fraction(-1, 3), Fraction(1, 2))]
+    WEIGHTS = [("laguerre", {"gamma": 1}), ("jacobi-add", {"p": 3, "q": 2})]
+
+    @pytest.mark.parametrize("name,params", WEIGHTS)
+    @pytest.mark.parametrize("a,b", SHIFTS)
+    def test_exact_and_float_coefficients_identical(self, name, params, a, b, ctx50):
+        w = preset_weight(name, **params)
+        m_exact = moments(w, 25, mode="exact")
+        m_float = moments(w, 25, mode="float", context=ctx50)
+        for n in (1, 4, 8, 12):
+            P = solve_polynomial(m_exact, n)
+            image = integral_image(P, m_exact, a, b).coeffs
+            assert image == tuple(nested_integral_image(P, m_exact, a, b))
+            assert all(c.is_rational() for c in image)
+            Pf = Polynomial([c.to_float(ctx50) for c in P.coeffs])
+            got = [c.value for c in integral_image(Pf, m_float, a, b).coeffs]
+            assert got == [c.value for c in nested_integral_image(Pf, m_float, a, b)]

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import comb
 
 import mpmath
 import pytest
@@ -17,6 +18,7 @@ from orthoieq import (
     check_functional_orthogonality,
     contour_weight,
     enumerate_multiplicative,
+    generalized_moments,
     inner_moment,
     moments,
     orthogonality,
@@ -27,6 +29,7 @@ from orthoieq import (
     solve_linear_shift,
     solve_multiplicative,
     solve_polynomial,
+    variants,
     verify,
 )
 
@@ -389,3 +392,34 @@ class TestShiftDegeneracyOnSignedMeasure:
             solve_linear_shift(m, 1, 1, -1)
         with pytest.raises(InconsistentPatternError):
             solve_multiplicative(m, 1, {0})
+
+
+def nested_functional_image(P, gen):
+    """Reference route: every (i, k) pair re-contracts <f(y)^(k-i) P(y)>, O(n^3)."""
+    n = P.degree
+    coeffs = []
+    for i in range(n + 1):
+        acc = None
+        for k in range(i, n + 1):
+            inner = None
+            for j, a in enumerate(P.coeffs):
+                term = a * gen[k - i][j]
+                inner = term if inner is None else inner + term
+            term = P.coeffs[k] * Scalar.exact(comb(k, i)) * inner
+            acc = term if acc is None else acc + term
+        coeffs.append(acc)
+    return coeffs
+
+
+class TestFunctionalImageAgainstNestedRoute:
+    @pytest.mark.parametrize("f,mode,degrees", [("x^2 + 1", "exact", (1, 4, 8)),
+                                                ("sqrt(x)", "float", (1, 2))])
+    def test_coefficients_identical(self, f, mode, degrees, ctx50):
+        w = preset_weight("laguerre", gamma=1)
+        for n in degrees:
+            P = solve_functional(w, f, n, mode=mode, context=ctx50)
+            image, _ = variants._functional_image(P, w, f, ctx50)
+            gen = generalized_moments(w, f, n, n, context=ctx50)
+            assert [c.value for c in image.coeffs] == [
+                c.value for c in nested_functional_image(P, gen)
+            ]
