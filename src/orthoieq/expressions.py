@@ -16,6 +16,7 @@ literal exponent).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -263,33 +264,44 @@ def _print(node, parent_prec):
 
 def eval_float(node, x, context: PrecisionContext):
     """Evaluate at an mpf/mpc point, returning an mpf/mpc of the context."""
-    mp = context.mp
+    return compile_float(node, context.mp)(x)
+
+
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv,
+           "^": operator.pow}
+
+
+def compile_float(node, mp):
+    """The tree as a closure x -> mpf/mpc on the mpmath context mp.
+
+    Every call does the arithmetic a walk of the tree would, at the
+    precision current when it is called, so the tree is compiled once and
+    evaluated at many points.
+    """
     if isinstance(node, Num):
-        return mp.mpf(node.value.numerator) / node.value.denominator
+        num, den = node.value.numerator, node.value.denominator
+        mpf = mp.mpf
+        return lambda x: mpf(num) / den
     if isinstance(node, Pi):
-        return mp.pi
+        return lambda x: mp.pi
     if isinstance(node, Var):
-        return x
+        return lambda x: x
     if isinstance(node, Neg):
-        return -eval_float(node.operand, x, context)
+        operand = compile_float(node.operand, mp)
+        return lambda x: -operand(x)
     if isinstance(node, BinOp):
-        a = eval_float(node.left, x, context)
-        b = eval_float(node.right, x, context)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return a * b
-        if node.op == "/":
-            return a / b
-        # a^b: integer exponents stay in the real line for negative bases
-        if isinstance(node.right, Num) and node.right.value.denominator == 1:
-            return a ** int(node.right.value)
-        return a**b
+        left = compile_float(node.left, mp)
+        if node.op == "^" and isinstance(node.right, Num) and node.right.value.denominator == 1:
+            # integer exponents stay in the real line for negative bases
+            k = int(node.right.value)
+            return lambda x: left(x) ** k
+        right = compile_float(node.right, mp)
+        op = _BINARY[node.op]
+        return lambda x: op(left(x), right(x))
     if isinstance(node, Call):
-        a = eval_float(node.arg, x, context)
-        return getattr(mp, node.func)(a)
+        func = getattr(mp, node.func)
+        arg = compile_float(node.arg, mp)
+        return lambda x: func(arg(x))
     raise TypeError(f"not an expression node: {node!r}")
 
 

@@ -21,7 +21,7 @@ from .errors import (
     QuadratureError,
 )
 from .numeric import PrecisionContext, Scalar, scalar_eq, tolerance
-from .quadrature import integrate_expression
+from .quadrature import integrate_expression, working_context
 from .weights import Contour, Weight
 
 
@@ -97,31 +97,19 @@ def moments(w: Weight, count: int, *, mode: str = "float",
 
 
 def _quadrature_moments(w: Weight, count: int, context: PrecisionContext) -> MomentSequence:
-    tree = w.expression()
     norm = w.normalization.to_float(context).value
-    target = tolerance(context, 10)
-    values = []
-    estimates = []
-    worst = None
-    for n in range(count):
-        try:
-            raw, err = integrate_expression(
-                tree, w.interval, context,
-                endpoint_exponents=w.endpoint_exponents,
-                extra=(lambda x, _n=n: x**_n) if n else None,
-                target=target,
-            )
-        except QuadratureError as exc:
-            raise QuadratureError(
-                f"moment m_{n} of {w.weight_id}: {exc}", worst_index=n
-            ) from exc
-        values.append(Scalar(raw.value / norm, context.precision))
-        estimates.append(Scalar(err.value / abs(norm), context.precision))
-        if worst is None or estimates[-1].value > estimates[worst].value:
-            worst = n
-    return MomentSequence(
-        tuple(values), "quadrature", w.weight_id, error_estimates=tuple(estimates)
+    entries = integrate_expression(
+        w.expression(), w.interval, context,
+        [None] + [lambda x, s, n=n: x**n for n in range(1, count)],
+        endpoint_exponents=w.endpoint_exponents,
+        target=tolerance(context, 10),
+        wrap_error=lambda n, exc: QuadratureError(
+            f"moment m_{n} of {w.weight_id}: {exc}", worst_index=n
+        ),
     )
+    values = tuple(Scalar(raw.value / norm, context.precision) for raw, _err in entries)
+    estimates = tuple(Scalar(err.value / abs(norm), context.precision) for _raw, err in entries)
+    return MomentSequence(values, "quadrature", w.weight_id, error_estimates=estimates)
 
 
 def contour_moments(winding: int, count: int, *, mode: str = "float",
@@ -155,8 +143,9 @@ def generalized_moments(w: Weight, f, kmax: int, jmax: int, *,
     """Matrix M[k][j] = <f(x)^k x^j> for k <= kmax, j <= jmax.
 
     Polynomial f (including the identity) contracts exactly against plain
-    moments; anything else is integrated numerically per entry. Raises
-    ConstantFunctionError when f is constant on the interval.
+    moments; anything else is integrated numerically, every entry on one
+    tanh-sinh node set. Raises ConstantFunctionError when f is constant on
+    the interval.
     """
     if isinstance(f, str):
         f = ex.parse_expression(f)
@@ -174,42 +163,26 @@ def generalized_moments(w: Weight, f, kmax: int, jmax: int, *,
         return _polynomial_generalized(poly, kmax, jmax, plain)
 
     _reject_constant_f(f, w, context)
-    tree = w.expression()
+    width = jmax + 1
+
+    def entry_error(i, exc):
+        k, j = divmod(i, width)
+        return QuadratureError(
+            f"generalized moment <f^{k} x^{j}> of {w.weight_id}: {exc}", worst_index=(k, j)
+        )
+
     norm = w.normalization.to_float(context).value
-    target = tolerance(context, 10)
-    rows = []
-    for k in range(kmax + 1):
-        row = []
-        for j in range(jmax + 1):
-            def extra(x, _k=k, _j=j, _f=f):
-                fx = ex.eval_float(_f, x, _shim(x)) if _k else 1
-                return (fx**_k if _k else 1) * (x**_j if _j else 1)
-
-            try:
-                raw, err = integrate_expression(
-                    tree, w.interval, context,
-                    endpoint_exponents=w.endpoint_exponents,
-                    extra=extra, target=target,
-                )
-            except QuadratureError as exc:
-                raise QuadratureError(
-                    f"generalized moment <f^{k} x^{j}> of {w.weight_id}: {exc}",
-                    worst_index=(k, j),
-                ) from exc
-            row.append(Scalar(raw.value / norm, context.precision))
-        rows.append(row)
-    return rows
-
-
-class _MpHolder:
-    __slots__ = ("mp",)
-
-    def __init__(self, mp):
-        self.mp = mp
-
-
-def _shim(x):
-    return _MpHolder(type(x).context)
+    entries = integrate_expression(
+        w.expression(), w.interval, context,
+        [lambda x, s, k=k, j=j: (s()**k if k else 1) * (x**j if j else 1)
+         for k in range(kmax + 1) for j in range(width)],
+        shared=ex.compile_float(f, working_context(context.precision)),
+        endpoint_exponents=w.endpoint_exponents,
+        target=tolerance(context, 10),
+        wrap_error=entry_error,
+    )
+    values = [Scalar(raw.value / norm, context.precision) for raw, _err in entries]
+    return [values[k * width:(k + 1) * width] for k in range(kmax + 1)]
 
 
 def _polynomial_generalized(poly, kmax, jmax, plain: MomentSequence):

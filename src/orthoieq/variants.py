@@ -39,7 +39,7 @@ from .polynomials import (
     integral_image,
     multiplicative_image,
 )
-from .quadrature import integrate_expression
+from .quadrature import integrate_expression, working_context
 from .weights import Weight
 
 
@@ -274,35 +274,26 @@ def _arbitrary_f_image(P, w, f, context):
 
 
 def _f_of_p_moments(P, w, f, kmax, context):
-    """g_j = <y^j f[P(y)]> for j = 0..kmax, by quadrature."""
-    tree = w.expression()
+    """g_j = <y^j f[P(y)]> for j = 0..kmax, by quadrature on one node set."""
+    mp = working_context(context.precision)
+    f_at = ex.compile_float(f, mp)
+    coeffs = [mp.convert((c.to_float(context) if c.is_exact else c).value) for c in P.coeffs]
+
+    def f_of_p(x):
+        acc = coeffs[-1]
+        for c in reversed(coeffs[:-1]):
+            acc = acc * x + c
+        return f_at(acc)
+
     norm = w.normalization.to_float(context).value
-    target = tolerance(context, 10)
-    out = []
-    pf = [c.to_float(context) if c.is_exact else c for c in P.coeffs]
-    for j in range(kmax + 1):
-        def extra(x, _j=j):
-            mp = type(x).context
-            acc = mp.convert(pf[-1].value)
-            for c in reversed(pf[:-1]):
-                acc = acc * x + mp.convert(c.value)
-            fx = ex.eval_float(f, acc, _MpHolder(mp))
-            return fx * x**_j if _j else fx
-
-        raw, _err = integrate_expression(
-            tree, w.interval, context,
-            endpoint_exponents=w.endpoint_exponents,
-            extra=extra, target=target,
-        )
-        out.append(Scalar(raw.value / norm, context.precision))
-    return out
-
-
-class _MpHolder:
-    __slots__ = ("mp",)
-
-    def __init__(self, mp):
-        self.mp = mp
+    entries = integrate_expression(
+        w.expression(), w.interval, context,
+        [lambda x, s, j=j: s() * x**j if j else s() for j in range(kmax + 1)],
+        shared=f_of_p,
+        endpoint_exponents=w.endpoint_exponents,
+        target=tolerance(context, 10),
+    )
+    return [Scalar(raw.value / norm, context.precision) for raw, _err in entries]
 
 
 # ---------------------------------------------------------------------------

@@ -442,7 +442,7 @@ def normalize(w: Weight, context: PrecisionContext | None = None) -> Weight:
     from .quadrature import integrate_expression  # deferred: quadrature imports weights
 
     context = context or PrecisionContext()
-    total, err = integrate_expression(
+    [(total, err)] = integrate_expression(
         w.body, w.interval, context, endpoint_exponents=w.endpoint_exponents
     )
     mp = context.mp

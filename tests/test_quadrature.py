@@ -1,0 +1,273 @@
+"""Shared-node quadrature against one ``quadts`` call per entry.
+
+The reference below integrates each entry on its own, the way the package
+did before the nodes were shared: a tree walk per node, closures for the
+endpoint substitutions, and ``work.quadts(..., error=True, maxdegree=8)``
+per piece. The shared-node integrator runs mpmath's level loop per entry on
+the same nodes, so values and error estimates must be exactly equal.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+from fractions import Fraction
+
+import pytest
+
+from orthoieq import (
+    IntegrabilityError,
+    Interval,
+    NormalizationError,
+    Polynomial,
+    PrecisionContext,
+    QuadratureError,
+    Scalar,
+    check_arbitrary_f,
+    generalized_moments,
+    moments,
+    normalize,
+    parse_weight,
+)
+from orthoieq import expressions as ex
+from orthoieq.quadrature import integrate_expression, working_context
+
+# ---------------------------------------------------------------------------
+# reference: one quadts call per entry and piece
+
+
+def _walk(node, x, mp):
+    if isinstance(node, ex.Num):
+        return mp.mpf(node.value.numerator) / node.value.denominator
+    if isinstance(node, ex.Pi):
+        return mp.pi
+    if isinstance(node, ex.Var):
+        return x
+    if isinstance(node, ex.Neg):
+        return -_walk(node.operand, x, mp)
+    if isinstance(node, ex.BinOp):
+        a = _walk(node.left, x, mp)
+        b = _walk(node.right, x, mp)
+        if node.op == "+":
+            return a + b
+        if node.op == "-":
+            return a - b
+        if node.op == "*":
+            return a * b
+        if node.op == "/":
+            return a / b
+        if isinstance(node.right, ex.Num) and node.right.value.denominator == 1:
+            return a ** int(node.right.value)
+        return a**b
+    return getattr(mp, node.func)(_walk(node.arg, x, mp))
+
+
+def _to_mpf(value, work):
+    if isinstance(value, Fraction):
+        return work.mpf(value.numerator) / value.denominator
+    return work.convert(value)
+
+
+def _semi(f, anchor, negative):
+    def g(t):
+        one_minus = 1 - t
+        x = anchor - t / one_minus if negative else anchor + t / one_minus
+        return f(x) / one_minus**2
+
+    return g
+
+
+def _finite(f, a, b, exp_a, exp_b, work):
+    if exp_a < 0 and exp_b < 0:
+        mid = (a + b) / 2
+        return _finite(f, a, mid, exp_a, 0, work) + _finite(f, mid, b, 0, exp_b, work)
+    if exp_a < 0 or exp_b < 0:
+        m = max(2, Fraction(exp_a if exp_a < 0 else exp_b).denominator)
+        end = a if exp_a < 0 else b
+
+        def g(u):
+            x = end + u**m if exp_a < 0 else end - u**m
+            if x == end:
+                return 0
+            return f(x) * m * u ** (m - 1)
+
+        return [(g, work.mpf(0), work.root(b - a, m))]
+    return [(f, a, b)]
+
+
+def _pieces(f, interval, exponents, work):
+    exp_a, exp_b = (Fraction(e) for e in exponents)
+    zero, one = work.mpf(0), work.mpf(1)
+    if not interval.alpha_finite and not interval.beta_finite:
+        return [(_semi(f, zero, True), zero, one), (_semi(f, zero, False), zero, one)]
+    if not interval.beta_finite:
+        a = _to_mpf(interval.alpha, work)
+        if exp_a < 0:
+            return _finite(f, a, a + 1, exp_a, 0, work) + [(_semi(f, a + 1, False), zero, one)]
+        return [(_semi(f, a, False), zero, one)]
+    if not interval.alpha_finite:
+        b = _to_mpf(interval.beta, work)
+        if exp_b < 0:
+            return _finite(f, b - 1, b, 0, exp_b, work) + [(_semi(f, b - 1, True), zero, one)]
+        return [(_semi(f, b, True), zero, one)]
+    return _finite(f, _to_mpf(interval.alpha, work), _to_mpf(interval.beta, work),
+                   exp_a, exp_b, work)
+
+
+def reference_entries(tree, interval, context, extras, exponents):
+    """(value, estimate) per extra factor, each from its own quadts calls."""
+    work = working_context(context.precision)
+    out = []
+    for extra in extras:
+        if extra is None:
+            def f(x):
+                return _walk(tree, x, work)
+        else:
+            def f(x, extra=extra):
+                return _walk(tree, x, work) * extra(x)
+        total = work.mpf(0)
+        est = work.mpf(0)
+        for g, a, b in _pieces(f, interval, exponents, work):
+            value, err = work.quadts(g, [a, b], error=True, maxdegree=8)
+            total += value
+            est += abs(err)
+        est = max(est, work.mpf(10) ** (-(work.dps // 2 - 4)))
+        out.append((_round(total, context), _round(est, context)))
+    return out
+
+
+def _round(value, context):
+    mp = context.mp
+    if hasattr(value, "imag") and value.imag != 0:
+        return Scalar(mp.mpc(value.real, value.imag), context.precision)
+    return Scalar(mp.mpf(value.real), context.precision)
+
+
+# ---------------------------------------------------------------------------
+# equality with the reference
+
+
+PRECISIONS = [50, 70]
+
+WEIGHTS = [
+    ("x^(-1/2)*(1-x)^(-1/3)", Interval(0, 1), 4),  # both endpoints regularized
+    ("x^(3/2)*(1-x)", Interval(0, 1), 4),
+    ("exp(-x)*(1+x)", Interval(0, "inf"), 4),
+    ("exp(x)", Interval("-inf", 0), 3),
+    ("(1-x)^(-1/2)*exp(x)", Interval("-inf", 1), 3),
+    ("exp(-(x^2))", Interval("-inf", "inf"), 3),
+]
+
+
+def _same(got, want):
+    assert [(v.value, e.value) for v, e in got] == [(v.value, e.value) for v, e in want]
+
+
+@pytest.mark.parametrize("p", PRECISIONS)
+@pytest.mark.parametrize("text,interval,count", WEIGHTS)
+def test_moment_entries_equal_per_entry_quadts(text, interval, count, p):
+    ctx = PrecisionContext(p)
+    w = parse_weight(text, interval)
+    tree = w.expression()
+    got = integrate_expression(tree, interval, ctx,
+                               [None] + [lambda x, s, n=n: x**n for n in range(1, count)],
+                               endpoint_exponents=w.endpoint_exponents)
+    want = reference_entries(tree, interval, ctx,
+                             [None] + [lambda x, n=n: x**n for n in range(1, count)],
+                             w.endpoint_exponents)
+    _same(got, want)
+    # the public path divides by the normalization and nothing else
+    wn = normalize(w, ctx)
+    norm = wn.normalization.value
+    m = moments(wn, count, context=ctx)
+    assert [v.value for v in m.values] == [raw.value / norm for raw, _ in want]
+    assert [e.value for e in m.error_estimates] == [err.value / abs(norm) for _, err in want]
+
+
+@pytest.mark.parametrize("p", PRECISIONS)
+def test_sqrt_table_on_the_line_equals_per_entry_quadts(p):
+    # sqrt(x) is complex on the negative half-line, so these entries are mpc
+    ctx = PrecisionContext(p)
+    w = normalize(parse_weight("exp(-(x^2))", Interval("-inf", "inf")), ctx)
+    f = ex.parse_expression("sqrt(x)")
+    work = working_context(p)
+    extras = [lambda x, k=k, j=j: (_walk(f, x, work) ** k if k else 1) * (x**j if j else 1)
+              for k in range(2) for j in range(2)]
+    want = reference_entries(w.expression(), w.interval, ctx, extras, w.endpoint_exponents)
+    table = generalized_moments(w, f, 1, 1, context=ctx)
+    got = [entry.value for row in table for entry in row]
+    assert any(ctx.mp.im(v) != 0 for v in got)
+    assert got == [raw.value / w.normalization.value for raw, _ in want]
+
+
+@pytest.mark.parametrize("p", PRECISIONS)
+def test_arbitrary_f_values_equal_per_entry_quadts(p):
+    ctx = PrecisionContext(p)
+    w = normalize(parse_weight("x^(3/2)*(1-x)", Interval(0, 1)), ctx)
+    f = ex.parse_expression("(x^3+x)/(x^2+1)")
+    P = Polynomial([ctx.scalar(Fraction(3, 7)), ctx.scalar(Fraction(-5, 3)),
+                    ctx.scalar(Fraction(11, 9))])
+    work = working_context(p)
+
+    def f_of_p(x):
+        acc = work.convert(P.coeffs[-1].value)
+        for c in reversed(P.coeffs[:-1]):
+            acc = acc * x + work.convert(c.value)
+        return _walk(f, acc, work)
+
+    extras = [lambda x, j=j: f_of_p(x) * x**j if j else f_of_p(x) for j in range(3)]
+    want = reference_entries(w.expression(), w.interval, ctx, extras, w.endpoint_exponents)
+    report = check_arbitrary_f(P, f, w, 2, context=ctx)
+    assert [v.value for v in report.values] == [raw.value / w.normalization.value
+                                                for raw, _ in want]
+
+
+# ---------------------------------------------------------------------------
+# failures: the first failing entry in index order, with its own message
+
+
+def _unit_mass(text, interval):
+    """A weight marked normalized without integrating it, to reach moments()."""
+    return dataclasses.replace(parse_weight(text, interval), normalization=Scalar.exact(1))
+
+
+def test_evaluation_failure_names_the_first_entry(ctx50):
+    # the midpoint node of (0, 1) is exactly 1/2
+    w = _unit_mass("1/(x-1/2)", Interval(0, 1))
+    with pytest.raises(QuadratureError) as err:
+        moments(w, 4, context=ctx50)
+    assert err.value.worst_index == 0
+    assert str(err.value).startswith("moment m_0 of")
+    # an exception with empty text is reported by its class name
+    assert str(err.value).endswith("integration of 1/(x-(1/2)) failed: ZeroDivisionError")
+
+
+def test_shared_failure_belongs_to_the_first_entry_using_it(ctx50):
+    # x = u^2 puts the midpoint node on 1/4, where f divides by zero; the
+    # k = 0 entries never evaluate f, so the first failure is <f^1 x^0>
+    w = normalize(parse_weight("x^(-1/2)", Interval(0, 1)), ctx50)
+    with pytest.raises(QuadratureError) as err:
+        generalized_moments(w, "1/(x-1/4)", 1, 1, context=ctx50)
+    assert err.value.worst_index == (1, 0)
+    assert str(err.value).startswith("generalized moment <f^1 x^0> of")
+
+
+def test_missed_target_names_the_first_entry(ctx50):
+    w = _unit_mass("(1+x)^(-1)", Interval(0, "inf"))
+    with pytest.raises(QuadratureError) as err:
+        moments(w, 3, context=ctx50)
+    assert err.value.worst_index == 0
+    assert str(err.value) == (
+        "moment m_0 of expr[(1+x)^(-1) on (0, inf)]: integration of (1+x)^(-1) "
+        "reached estimate 1.0, target 1.0e-40"
+    )
+
+
+def test_divergent_and_zero_integrals_keep_their_errors(ctx50):
+    with pytest.raises(IntegrabilityError) as err:
+        normalize(parse_weight("exp(x)", Interval(0, "inf")), ctx50)
+    assert str(err.value).startswith("integral of exp(x) appears divergent (magnitude 2.4124e+")
+    with pytest.raises(NormalizationError) as err:
+        normalize(parse_weight("x", Interval(-1, 1)), ctx50)
+    assert str(err.value) == (
+        "integral of expr[x on (-1, 1)] is numerically indistinguishable from zero"
+    )
