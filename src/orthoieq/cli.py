@@ -364,67 +364,64 @@ def _poly_record(args, context, w, seq, n):
         "variant": args.variant,
         "seed": args.seed,
     }
-    if args.variant == "additive":
+    if args.variant == "multiplicative" and args.enumerate_patterns:
+        candidates, distinct = enumerate_multiplicative(seq, n, context=context)
+        record["patterns"] = [
+            {
+                "pattern": sorted(c.pattern),
+                "ok": c.succeeded,
+                **(
+                    {"coefficients": [scalar_json(x, context) for x in c.polynomial.coeffs]}
+                    if c.succeeded
+                    else {"error": c.failure}
+                ),
+            }
+            for c in candidates
+        ]
+        record["distinct_solutions"] = distinct
+        return record
+    form = _form_from_args(args, n)
+    if isinstance(form, Additive):
         P = solve_polynomial(seq, n, context=context)
-        det, valid = hankel_condition(seq, n, context=context)
-        record["coefficients"] = [scalar_json(c, context) for c in P.coeffs]
-        record["normalization"] = scalar_json(normalization(seq, n, context=context), context)
-        record["det_B"] = scalar_json(det, context)
-        record["valid"] = bool(valid)
-        record["verification"] = _verification_summary(P, w, Additive(), args, context, seq)
-    elif args.variant == "shift":
-        a = Scalar.exact(_rational(args.a, "a"))
-        b = Scalar.exact(_rational(args.b, "b"))
-        P = solve_linear_shift(seq, n, a, b, context=context)
-        det, valid = hankel_condition(seq, n, context=context)
-        record["a"] = scalar_json(a, context)
-        record["b"] = scalar_json(b, context)
+    elif isinstance(form, LinearShift):
+        P = solve_linear_shift(seq, n, form.a, form.b, context=context)
+        record["a"] = scalar_json(form.a, context)
+        record["b"] = scalar_json(form.b, context)
         record["complex_shift"] = False
-        record["coefficients"] = [scalar_json(c, context) for c in P.coeffs]
+    elif isinstance(form, Multiplicative):
+        P = solve_multiplicative(seq, n, form.pattern, context=context)
+        record["pattern"] = sorted(form.pattern)
+    else:
+        P = solve_functional(w, form.f, n, context=context, mode=args.mode)
+        record["f"] = args.f
+    record["coefficients"] = [scalar_json(c, context) for c in P.coeffs]
+    if isinstance(form, Additive):
+        record["normalization"] = scalar_json(normalization(seq, n, context=context), context)
+    if isinstance(form, (Additive, LinearShift)):
+        det, valid = hankel_condition(seq, n, context=context)
         record["det_B"] = scalar_json(det, context)
         record["valid"] = bool(valid)
-        record["verification"] = _verification_summary(
-            P, w, LinearShift(a, b), args, context, seq
-        )
-    elif args.variant == "multiplicative":
-        if args.enumerate_patterns:
-            candidates, distinct = enumerate_multiplicative(seq, n, context=context)
-            record["patterns"] = [
-                {
-                    "pattern": sorted(c.pattern),
-                    "ok": c.succeeded,
-                    **(
-                        {"coefficients": [scalar_json(x, context) for x in c.polynomial.coeffs]}
-                        if c.succeeded
-                        else {"error": c.failure}
-                    ),
-                }
-                for c in candidates
-            ]
-            record["distinct_solutions"] = distinct
-            return record
-        if args.parity:
-            pattern = parity_pattern(n)
-        elif args.pattern is not None:
-            pattern = frozenset(int(t) for t in args.pattern.split(",") if t.strip() != "")
-        else:
-            pattern = frozenset(range(n))  # full pattern by default
-        P = solve_multiplicative(seq, n, pattern, context=context)
-        record["pattern"] = sorted(pattern)
-        record["coefficients"] = [scalar_json(c, context) for c in P.coeffs]
-        record["verification"] = _verification_summary(
-            P, w, Multiplicative(pattern), args, context, seq
-        )
-    elif args.variant == "functional":
-        if not args.f:
-            raise ConfigurationError("--variant functional needs --f EXPR")
-        P = solve_functional(w, args.f, n, context=context, mode=args.mode)
-        record["f"] = args.f
-        record["coefficients"] = [scalar_json(c, context) for c in P.coeffs]
-        record["verification"] = _verification_summary(
-            P, w, Functional(args.f), args, context, None
-        )
+    record["verification"] = _verification_summary(P, w, form, args, context, seq)
     return record
+
+
+def _form_from_args(args, degree):
+    """The equation form named by --variant and its flags. A multiplicative
+    pattern comes from --parity (poly only), else --pattern, else is full."""
+    if args.variant == "additive":
+        return Additive()
+    if args.variant == "shift":
+        return LinearShift(Scalar.exact(_rational(args.a, "a")),
+                           Scalar.exact(_rational(args.b, "b")))
+    if args.variant == "multiplicative":
+        if getattr(args, "parity", False):
+            return Multiplicative(parity_pattern(degree))
+        if args.pattern is None:
+            return Multiplicative(frozenset(range(degree)))
+        return Multiplicative(frozenset(int(t) for t in args.pattern.split(",") if t.strip() != ""))
+    if not args.f:
+        raise ConfigurationError("--variant functional needs --f EXPR")
+    return Functional(args.f)
 
 
 def _verification_summary(P, w, form, args, context, seq):
@@ -493,22 +490,7 @@ def cmd_verify(args, context) -> int:
         emit([record], args.format, context)
         return EXIT_OK if report.passed else EXIT_VERIFY
 
-    if args.variant == "additive":
-        form = Additive()
-    elif args.variant == "multiplicative":
-        if args.pattern is None:
-            pattern = frozenset(range(P.degree))  # full pattern by default
-        else:
-            pattern = frozenset(int(t) for t in args.pattern.split(",") if t.strip() != "")
-        form = Multiplicative(pattern)
-    elif args.variant == "shift":
-        form = LinearShift(Scalar.exact(_rational(args.a, "a")),
-                           Scalar.exact(_rational(args.b, "b")))
-    else:
-        if not args.f:
-            raise ConfigurationError("--variant functional needs --f EXPR")
-        form = Functional(args.f)
-
+    form = _form_from_args(args, P.degree)
     report = verify(P, w, form, mode=args.mode, context=context, seed=args.seed)
     record = {
         "command": "verify",

@@ -85,11 +85,10 @@ def solve_polynomial(m, n: int, *, context: PrecisionContext | None = None) -> P
         if not valid:
             raise SingularHankelError(_singular_message(det, n))
     try:
-        coeffs = solve_full_pivot([list(row) for row in system.B], list(system.rhs))
+        return solve_e0([list(row) for row in system.B], _degenerate_message(n))
     except SingularSystemError as exc:
         message = _singular_message(0, n) if exact else f"B_{n} system is singular: {exc}"
         raise SingularHankelError(message) from exc
-    return _finish(coeffs, n)
 
 
 def _singular_message(det, n):
@@ -118,21 +117,34 @@ def polynomial_via_determinants(m, n: int, *, context: PrecisionContext | None =
         cof = determinant(minor)
         coeffs.append((cof if sign > 0 else -cof) / det)
         sign = -sign
-    return _finish(coeffs, n)
+    return _with_leading(coeffs, _degenerate_message(n))
 
 
-def _finish(coeffs, n) -> Polynomial:
-    leading = coeffs[-1]
-    if leading.is_zero() or _below_noise(leading, coeffs):
-        raise DegenerateDegreeError(
-            f"solved leading coefficient a_{n},{n} vanished; no degree-{n} solution"
-        )
+def _degenerate_message(n):
+    return f"solved leading coefficient a_{n},{n} vanished; no degree-{n} solution"
+
+
+def solve_e0(matrix, degenerate_message: str) -> Polynomial:
+    """The polynomial whose coefficients a_0..a_n solve M a = e_0.
+
+    Raises SingularSystemError when M has no pivot left, and
+    DegenerateDegreeError(degenerate_message) when a_n vanishes.
+    """
+    rhs = [Scalar.exact(1)] + [Scalar.exact(0)] * (len(matrix) - 1)
+    return _with_leading(solve_full_pivot(matrix, rhs), degenerate_message)
+
+
+def _with_leading(coeffs, degenerate_message) -> Polynomial:
+    if vanishes(coeffs[-1], coeffs):
+        raise DegenerateDegreeError(degenerate_message)
     return Polynomial(coeffs)
 
 
-def _below_noise(value, coeffs):
+def vanishes(value: Scalar, coeffs) -> bool:
+    """Whether a solved coefficient is zero: exactly, or in float mode at most
+    10^(15-p) times max(1, max |c| over coeffs), p being the value's precision."""
     if value.is_exact:
-        return False
+        return value.is_zero()
     ctx = PrecisionContext(value.precision)
     scale = max(c.magnitude() for c in coeffs)
     return value.magnitude() <= tolerance(ctx, 15) * max(ctx.mp.mpf(1), scale)

@@ -21,7 +21,7 @@ from .errors import (
     QuadratureError,
 )
 from .numeric import PrecisionContext, Scalar, scalar_eq, tolerance
-from .quadrature import integrate_expression, working_context
+from .quadrature import _EVAL_ERRORS, integrate_expression, working_context
 from .weights import Contour, Weight
 
 
@@ -221,7 +221,12 @@ def _reject_constant_f(f, w, context):
     samples = []
     for i in range(1, 10):
         t = lo_f + (hi_f - lo_f) * i / 10
-        samples.append(ex.eval_float(f, t, context))
+        try:
+            samples.append(ex.eval_float(f, t, context))
+        except _EVAL_ERRORS:
+            continue  # a pole or domain error is the integrator's to report
+    if len(samples) < 2:
+        return
     spread = max(abs(s - samples[0]) for s in samples)
     scale = max(mp.mpf(1), max(abs(s) for s in samples))
     if spread <= scale * tolerance(context, context.precision // 2):

@@ -150,7 +150,18 @@ def integral_image(P: Polynomial, m, a=0, b=1) -> Polynomial:
     a, b = _scalar(a), _scalar(b)
     n = P.degree
     mu = [inner_moment(P, t, m) for t in range(n + 1)]
-    s = [_binomial_shift(mu, r, a, b) for r in range(n + 1)]
+    return binomial_image(P, [_binomial_shift(mu, r, a, b) for r in range(n + 1)])
+
+
+def binomial_image(P: Polynomial, s) -> Polynomial:
+    """The polynomial with x^i coefficient sum_{k>=i} a_k C(k,i) s_(k-i).
+
+    Every kernel that expands binomially in x has this right side: with
+    s_r = <g(y)^r P(y)>, integral of w(y) P(y) P(x + g(y)) dy (additive,
+    shifted and functional forms), and with s_r = <y^r f[P(y)]>, integral
+    of w(y) f[P(y)] P(x + y) dy. The leading coefficient may vanish.
+    """
+    n = P.degree
     coeffs = []
     for i in range(n + 1):
         acc = None
@@ -158,18 +169,14 @@ def integral_image(P: Polynomial, m, a=0, b=1) -> Polynomial:
             term = P.coeffs[k] * Scalar.exact(comb(k, i)) * s[k - i]
             acc = term if acc is None else acc + term
         coeffs.append(acc)
-    return _as_polynomial_allow_zero(coeffs)
+    return Polynomial(coeffs, allow_zero_leading=True)
 
 
 def multiplicative_image(P: Polynomial, m) -> Polynomial:
     """Right side of the multiplicative equation: x^k coefficient a_k <y^k P(y)>."""
     coeffs = [P.coeffs[k] * inner_moment(P, k, m) for k in range(P.degree + 1)]
-    return _as_polynomial_allow_zero(coeffs)
+    return Polynomial(coeffs, allow_zero_leading=True)
 
 
 def _scalar(value) -> Scalar:
     return value if isinstance(value, Scalar) else Scalar.exact(value)
-
-
-def _as_polynomial_allow_zero(coeffs) -> Polynomial:
-    return Polynomial(coeffs, allow_zero_leading=True)

@@ -8,10 +8,15 @@ Forms (kernel inside integral of w(y) P(y) ...):
     Functional(f)       P(x + f(y)), f nonconstant
     ArbitraryF(f)       f[P(y)] P(x + y)  (verification only; no solver)
 
-For Additive/LinearShift/Multiplicative the right side is a finite moment
-sum (expand the kernel in y and contract), so verification is exact up to
-moment error. Functional uses generalized moments; ArbitraryF integrates
-f[P(y)] numerically.
+Each solvable form reduces to linear conditions on the coefficients:
+Additive, LinearShift and Functional solve <g(x)^k P> = delta_(k,0),
+k = 0..n, for g(x) = x, a + b x, f(x) (hankel.solve_e0); Multiplicative
+solves <x^k P> = 1 on its support. The right side of every kernel
+P(x + g(y)), and of f[P(y)] P(x + y), is one binomial image
+(polynomials.binomial_image); Multiplicative's is multiplicative_image.
+One verdict rule (_verdict) judges the residuals of every form: exact
+moments give exact residuals, generalized moments and f[P(y)] carry a
+quadrature bound.
 """
 
 from __future__ import annotations
@@ -19,22 +24,22 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
 
 from . import expressions as ex
 from .errors import (
     ConfigurationError,
-    DegenerateDegreeError,
     InconsistentPatternError,
     InsufficientMomentsError,
     SingularSystemError,
 )
-from .hankel import solve_polynomial
+from .hankel import solve_e0, solve_polynomial, vanishes
 from .linalg import solve_full_pivot
 from .moments import MomentSequence, generalized_moments, moments
 from .numeric import PrecisionContext, Scalar, scalar_eq, tolerance
 from .polynomials import (
     Polynomial,
+    _binomial_shift,
+    binomial_image,
     inner_moment,
     integral_image,
     multiplicative_image,
@@ -188,25 +193,10 @@ def verify(P: Polynomial, w: Weight, form, samples=None, *, mode: str = "float",
     else:
         raise ConfigurationError(f"unknown equation form {form!r}")
 
-    residuals = []
-    for x in samples:
-        diff = P.eval(x) - rhs.eval(x)
-        residuals.append(_abs_scalar(diff, context))
-    max_residual = residuals[0]
-    for r in residuals[1:]:
-        if _magnitude(r) > _magnitude(max_residual):
-            max_residual = r
-
-    if max_residual.is_exact:
-        passed = max_residual.is_zero()
-    else:
-        mp = context.mp
-        p_scale = max([mp.mpf(1)] + [P.eval(x).magnitude() for x in samples])
-        threshold = max(
-            10 * qbound.to_float(context).value if not qbound.is_zero() else mp.mpf(0),
-            tolerance(context, 10) * p_scale,
-        )
-        passed = max_residual.value <= threshold
+    residuals = [_abs_scalar(P.eval(x) - rhs.eval(x), context) for x in samples]
+    max_residual, passed = _verdict(
+        residuals, qbound, context, lambda: [P.eval(x).magnitude() for x in samples]
+    )
     return VerificationReport(
         form=form,
         sample_points=tuple(samples),
@@ -230,47 +220,44 @@ def _abs_scalar(diff, context):
     return Scalar(context.mp.fabs(diff.value), context.precision)
 
 
-def _magnitude(s: Scalar):
-    return s.magnitude()
+def _verdict(deviations, qbound, context, scales=lambda: ()):
+    """The largest deviation and whether it passes.
+
+    An exact deviation must be zero. A float one passes at or below
+    max(10 qbound, 10^(10-p) max(1, scales)); scales is called only then.
+    """
+    worst = deviations[0]
+    for d in deviations[1:]:
+        if d.magnitude() > worst.magnitude():
+            worst = d
+    if worst.is_exact:
+        return worst, worst.is_zero()
+    mp = context.mp
+    threshold = max(
+        10 * qbound.to_float(context).value if not qbound.is_zero() else mp.mpf(0),
+        tolerance(context, 10) * max([mp.mpf(1)] + list(scales())),
+    )
+    return worst, worst.value <= threshold
 
 
 def _functional_image(P, w, f, context):
     n = P.degree
     gen = generalized_moments(w, f, n, n, context=context)
-    inner = [inner_moment(P, 0, row) for row in gen]  # inner[d] = <f(y)^d P(y)>
-    coeffs = []
-    for i in range(n + 1):
-        acc = None
-        for k in range(i, n + 1):
-            term = P.coeffs[k] * Scalar.exact(comb(k, i)) * inner[k - i]
-            acc = term if acc is None else acc + term
-        coeffs.append(acc)
-    qbound = _gen_error_bound(gen, context)
-    return Polynomial(coeffs, allow_zero_leading=True), qbound
-
-
-def _gen_error_bound(gen, context):
+    rhs = binomial_image(P, [inner_moment(P, 0, row) for row in gen])  # <f(y)^d P(y)>
     # polynomial-f contractions are exact in the moments; quadrature entries
     # carry the 10^(10-p) target as their bound
-    any_float = any(not entry.is_exact for row in gen for entry in row)
-    if not any_float:
-        return Scalar.exact(0)
-    return Scalar(tolerance(context, 10), context.precision)
+    if all(entry.is_exact for row in gen for entry in row):
+        return rhs, Scalar.exact(0)
+    return rhs, _quadrature_bound(context)
 
 
 def _arbitrary_f_image(P, w, f, context):
-    n = P.degree
-    g = _f_of_p_moments(P, w, f, n, context)
-    coeffs = []
-    for i in range(n + 1):
-        acc = None
-        for k in range(i, n + 1):
-            term = P.coeffs[k] * Scalar.exact(comb(k, i)) * g[k - i]
-            acc = term if acc is None else acc + term
-        coeffs.append(acc)
-    return Polynomial(coeffs, allow_zero_leading=True), Scalar(
-        tolerance(context, 10), context.precision
-    )
+    rhs = binomial_image(P, _f_of_p_moments(P, w, f, P.degree, context))
+    return rhs, _quadrature_bound(context)
+
+
+def _quadrature_bound(context):
+    return Scalar(tolerance(context, 10), context.precision)
 
 
 def _f_of_p_moments(P, w, f, kmax, context):
@@ -323,20 +310,12 @@ def solve_multiplicative(m, n: int, pattern, *, context: PrecisionContext | None
     for idx, k in enumerate(support):
         coeffs[k] = solved[idx]
     for k in support:
-        if _coefficient_vanishes(coeffs[k], solved, context):
+        if vanishes(coeffs[k], solved):
             raise InconsistentPatternError(
                 f"pattern {sorted(set(pattern))} assumed a_{n},{k} != 0 but it solved to zero",
                 index=k,
             )
     return Polynomial(coeffs)
-
-
-def _coefficient_vanishes(c, solved, context):
-    if c.is_exact:
-        return c.is_zero()
-    ctx = context or PrecisionContext(c.precision)
-    scale = max([ctx.mp.mpf(1)] + [s.magnitude() for s in solved])
-    return c.magnitude() <= tolerance(ctx, 15) * scale
 
 
 @dataclass(frozen=True)
@@ -426,26 +405,11 @@ def solve_linear_shift(m, n: int, a, b, *, context: PrecisionContext | None = No
         raise InsufficientMomentsError(
             f"degree {n} needs m_0..m_{2 * n}, got {len(m)} moments"
         )
-    matrix = []
-    for k in range(n + 1):
-        row = []
-        for j in range(n + 1):
-            acc = None
-            for i in range(k + 1):
-                coeff = Scalar.exact(comb(k, i)) * a ** (k - i) * b**i
-                term = coeff * m[i + j]
-                acc = term if acc is None else acc + term
-            row.append(acc)
-        matrix.append(row)
-    one = Scalar.exact(1)
-    zero = Scalar.exact(0)
-    rhs = [one if k == 0 else zero for k in range(n + 1)]
-    coeffs = solve_full_pivot(matrix, rhs)
-    if coeffs[-1].is_zero() or _coefficient_vanishes(coeffs[-1], coeffs, context):
-        raise DegenerateDegreeError(
-            f"leading coefficient vanished for shift (a={a}, b={b}) at degree {n}"
-        )
-    return Polynomial(coeffs)
+    matrix = [[_binomial_shift([m[i + j] for i in range(k + 1)], k, a, b)
+               for j in range(n + 1)] for k in range(n + 1)]
+    return solve_e0(
+        matrix, f"leading coefficient vanished for shift (a={a}, b={b}) at degree {n}"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -461,17 +425,10 @@ def solve_functional(w: Weight, f, n: int, *, context: PrecisionContext | None =
     if ex.is_identity(f):
         m = moments(w, 2 * n + 1, mode=mode, context=context)
         return solve_polynomial(m, n, context=context)
-    gen = generalized_moments(w, f, n, n, context=context)
-    matrix = [[gen[k][j] for j in range(n + 1)] for k in range(n + 1)]
-    one = Scalar.exact(1)
-    zero = Scalar.exact(0)
-    rhs = [one if k == 0 else zero for k in range(n + 1)]
-    coeffs = solve_full_pivot(matrix, rhs)
-    if coeffs[-1].is_zero() or _coefficient_vanishes(coeffs[-1], coeffs, context):
-        raise DegenerateDegreeError(
-            f"leading coefficient vanished for functional argument at degree {n}"
-        )
-    return Polynomial(coeffs)
+    return solve_e0(
+        generalized_moments(w, f, n, n, context=context),
+        f"leading coefficient vanished for functional argument at degree {n}",
+    )
 
 
 def check_functional_orthogonality(Pn: Polynomial, Pm: Polynomial, w: Weight, f, *,
@@ -532,23 +489,8 @@ def check_arbitrary_f(P: Polynomial, f, w: Weight, n: int | None = None, *,
         qbound = Scalar.exact(0)
     else:
         values = _f_of_p_moments(P, w, f, n, context)
-        qbound = Scalar(tolerance(context, 10), context.precision)
+        qbound = _quadrature_bound(context)
     one = Scalar.exact(1)
-    deviations = []
-    for k, v in enumerate(values):
-        dev = v - one if k == 0 else v
-        deviations.append(_abs_scalar(dev, context))
-    max_dev = deviations[0]
-    for d in deviations[1:]:
-        if d.magnitude() > max_dev.magnitude():
-            max_dev = d
-    if max_dev.is_exact:
-        passed = max_dev.is_zero()
-    else:
-        mp = context.mp
-        threshold = max(
-            10 * qbound.to_float(context).value if not qbound.is_zero() else mp.mpf(0),
-            tolerance(context, 10),
-        )
-        passed = max_dev.value <= threshold
+    deviations = [_abs_scalar(v - one if k == 0 else v, context) for k, v in enumerate(values)]
+    max_dev, passed = _verdict(deviations, qbound, context)
     return ArbitraryFReport(tuple(values), tuple(deviations), max_dev, passed)

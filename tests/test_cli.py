@@ -3,7 +3,10 @@ from fractions import Fraction
 
 import mpmath
 
-from orthoieq.cli import main
+import pytest
+
+from orthoieq import Multiplicative
+from orthoieq.cli import _form_from_args, build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -238,3 +241,40 @@ class TestExitCodesAndReproducibility:
         )
         assert code == 0
         assert "P(x) =" in out
+
+
+class TestSharedFormParser:
+    WEIGHT = ["--preset", "laguerre", "--gamma", "1"]
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--variant", "shift", "--a", "1"], "error: missing required parameter --b\n"),
+        (["--variant", "functional"], "error: --variant functional needs --f EXPR\n"),
+        (["--variant", "shift", "--a", "1", "--b", "0"], "error: linear shift requires b != 0\n"),
+        (["--variant", "multiplicative", "--pattern=-1"],
+         "error: pattern indices must be nonnegative\n"),
+    ], ids=["missing-b", "missing-f", "b-zero", "negative-pattern"])
+    def test_poly_and_verify_report_the_same_error(self, capsys, tmp_path, flags, message):
+        poly_file = tmp_path / "poly.json"
+        poly_file.write_text('[{"num": "-1", "den": "1"}, {"num": "1", "den": "1"}]')
+        poly = run_cli(capsys, "poly", *self.WEIGHT, "-n", "1", "--mode", "exact", *flags)
+        check = run_cli(capsys, "verify", *self.WEIGHT, "--poly-file", str(poly_file),
+                        "--mode", "exact", *flags)
+        assert poly == check == (2, "", message)
+
+    @pytest.mark.parametrize("command", ["poly", "verify"])
+    def test_multiplicative_defaults_to_the_full_pattern(self, command):
+        argv = [command, *self.WEIGHT, "--variant", "multiplicative"]
+        argv += ["-n", "3"] if command == "poly" else ["--poly-file", "unused.json"]
+        args = build_parser().parse_args(argv)
+        assert _form_from_args(args, 3) == Multiplicative(frozenset({0, 1, 2}))
+
+    def test_functional_pole_is_a_numeric_failure(self, capsys):
+        code, out, err = run_cli(
+            capsys, "poly", "--expr", "x*(1-x)", "--interval", "0", "1", "-n", "1",
+            "--variant", "functional", "--f", "1/(x-1/2)", "--precision", "30",
+        )
+        assert (code, out) == (3, "")
+        assert err == (
+            "numeric failure: generalized moment <f^1 x^0> of expr[x*(1-x) on (0, 1)]: "
+            "integration of x*(1-x) failed: ZeroDivisionError\n"
+        )

@@ -9,6 +9,7 @@ from orthoieq import (
     ConstantFunctionError,
     InsufficientMomentsError,
     MomentSequence,
+    QuadratureError,
     Scalar,
     contour_moments,
     generalized_moments,
@@ -181,6 +182,18 @@ class TestGeneralizedMoments:
         w = preset_weight("uniform-symmetric")
         with pytest.raises(ConstantFunctionError):
             generalized_moments(w, "sin(x)^2+cos(x)^2", 1, 1, context=ctx50)
+
+    def test_f_with_a_pole_at_a_sample_reports_a_quadrature_error(self, ctx50):
+        # f(1/2) divides by zero; the constancy check skips that sample and the
+        # integrator reports the failure of the first entry that evaluates f
+        w = normalize(parse_weight("exp(-x)", Interval(0, 1)), ctx50)
+        with pytest.raises(QuadratureError) as err:
+            generalized_moments(w, "1/(x-1/2)", 1, 0, context=ctx50)
+        assert err.value.worst_index == (1, 0)
+        assert str(err.value) == (
+            "generalized moment <f^1 x^0> of expr[exp(-x) on (0, 1)]: "
+            "integration of exp(-x) failed: ZeroDivisionError"
+        )
 
     def test_transcendental_f_quadrature(self, ctx50):
         # oracle: <exp(x) x> over e^-x on (0, inf) = integral x e^(-x) e^x ... diverges;

@@ -8,6 +8,7 @@ from orthoieq import (
     Additive,
     ArbitraryF,
     ConfigurationError,
+    DegenerateDegreeError,
     Functional,
     LinearShift,
     MomentSequence,
@@ -32,6 +33,7 @@ from orthoieq import (
     variants,
     verify,
 )
+from orthoieq.linalg import solve_full_pivot
 
 TOL35 = Fraction(1, 10**35)
 TOL30 = Fraction(1, 10**30)
@@ -388,10 +390,77 @@ class TestShiftDegeneracyOnSignedMeasure:
 
         w = preset_weight("laguerre", gamma=1)
         m = moments(w, 5, mode="exact")
-        with pytest.raises(DegenerateDegreeError):
+        with pytest.raises(DegenerateDegreeError, match=r"for shift \(a=1, b=-1\) at degree 1"):
             solve_linear_shift(m, 1, 1, -1)
-        with pytest.raises(InconsistentPatternError):
+        with pytest.raises(InconsistentPatternError) as err:
             solve_multiplicative(m, 1, {0})
+        assert err.value.index == 1
+        assert str(err.value) == "pattern [0] assumed a_1,1 != 0 but it solved to zero"
+
+
+_UNIFORM = preset_weight("uniform-symmetric")
+_LAGUERRE = preset_weight("laguerre", gamma=1)
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("solve,message", [
+    # m_1 = 0 on a symmetric weight forces a_1 = 0
+    (lambda mode, ctx: solve_polynomial(moments(_UNIFORM, 4, mode=mode, context=ctx), 1,
+                                        context=ctx),
+     "solved leading coefficient a_1,1 vanished; no degree-1 solution"),
+    # <(1 - x) P> = -a_1 on e^-x
+    (lambda mode, ctx: solve_linear_shift(moments(_LAGUERRE, 4, mode=mode, context=ctx), 1,
+                                          1, -1, context=ctx),
+     "leading coefficient vanished for shift (a=1, b=-1) at degree 1"),
+    # <x^3> = 0 on a symmetric weight forces a_1 = 0
+    (lambda mode, ctx: solve_functional(_UNIFORM, "x^3", 1, mode=mode, context=ctx),
+     "leading coefficient vanished for functional argument at degree 1"),
+], ids=["additive", "shift", "functional"])
+def test_degenerate_degree_messages(solve, message, mode, ctx50):
+    with pytest.raises(DegenerateDegreeError) as err:
+        solve(mode, ctx50)
+    assert str(err.value) == message
+
+
+def nested_shift_matrix(m, n, a, b):
+    """Reference rows: entry (k, j) = sum_i C(k,i) a^(k-i) b^i m_(i+j), one triple loop."""
+    a, b = Scalar.exact(a), Scalar.exact(b)
+    matrix = []
+    for k in range(n + 1):
+        row = []
+        for j in range(n + 1):
+            acc = None
+            for i in range(k + 1):
+                coeff = Scalar.exact(comb(k, i)) * a ** (k - i) * b**i
+                term = coeff * m[i + j]
+                acc = term if acc is None else acc + term
+            row.append(acc)
+        matrix.append(row)
+    return matrix
+
+
+class TestShiftMatrixAgainstNestedLoop:
+    SHIFTS = [(1, -1), (Fraction(3, 2), 2), (Fraction(-1, 3), Fraction(1, 2))]
+    WEIGHTS = [("laguerre", {"gamma": 1}), ("jacobi-add", {"p": 3, "q": 2})]
+
+    @pytest.mark.parametrize("name,params", WEIGHTS)
+    @pytest.mark.parametrize("a,b", SHIFTS)
+    def test_exact_and_float_coefficients_identical(self, name, params, a, b, ctx50):
+        w = preset_weight(name, **params)
+        e0 = [Scalar.exact(1)] + [Scalar.exact(0)] * 8
+        for mode in ("exact", "float"):
+            m = moments(w, 17, mode=mode, context=ctx50)
+            for n in range(9):
+                want = solve_full_pivot(nested_shift_matrix(m, n, a, b), e0[:n + 1])
+                try:
+                    got = solve_linear_shift(m, n, a, b, context=ctx50).coeffs
+                except DegenerateDegreeError:
+                    assert want[-1].is_zero()
+                    continue
+                if mode == "exact":
+                    assert got == tuple(want)
+                else:
+                    assert [c.value for c in got] == [c.value for c in want]
 
 
 def nested_functional_image(P, gen):
