@@ -43,6 +43,8 @@ from .variants import (
     solve_linear_shift,
     solve_multiplicative,
     verify,
+    _abs_scalar,
+    _verdict,
 )
 from .weights import Interval, contour_weight, normalize, parse_weight, preset_weight
 
@@ -418,7 +420,13 @@ def _form_from_args(args, degree):
             return Multiplicative(parity_pattern(degree))
         if args.pattern is None:
             return Multiplicative(frozenset(range(degree)))
-        return Multiplicative(frozenset(int(t) for t in args.pattern.split(",") if t.strip() != ""))
+        try:
+            pattern = frozenset(int(t) for t in args.pattern.split(",") if t.strip() != "")
+        except ValueError:
+            raise ConfigurationError(
+                f"--pattern expects comma-separated integers, got {args.pattern!r}"
+            ) from None
+        return Multiplicative(pattern)
     if not args.f:
         raise ConfigurationError("--variant functional needs --f EXPR")
     return Functional(args.f)
@@ -432,38 +440,28 @@ def _verification_summary(P, w, form, args, context, seq):
         m = seq if seq is not None and len(seq) >= need else contour_moments(
             w.body.winding, need, mode=args.mode, context=context
         )
-        worst = None
+        one = Scalar.exact(1)
+        deviations = []
         for k in range(P.degree + 1):
             if isinstance(form, LinearShift):
                 v = shifted_inner(P, k, form.a, form.b, m)
-                dev = v - Scalar.exact(1) if k == 0 else v
+                dev = v - one if k == 0 else v
             elif isinstance(form, Multiplicative):
-                support = form.pattern | {P.degree}
-                v = inner_moment(P, k, m)
-                dev = v - Scalar.exact(1) if k in support else P.coefficient(k)
+                in_support = k in form.pattern or k == P.degree
+                dev = inner_moment(P, k, m) - one if in_support else P.coefficient(k)
             else:
                 v = inner_moment(P, k, m)
-                dev = v - Scalar.exact(1) if k == 0 else v
-            mag = dev.magnitude()
-            if worst is None or mag > worst:
-                worst = mag
-        mp = context.mp
-        ok = worst <= mp.mpf(10) ** (10 - context.precision)
-        return {
-            "form": "moment-conditions",
-            "max_residual": mp.nstr(mp.mpf(worst), 3),
-            "pass": bool(ok),
-        }
-    report = verify(
-        P, w, form, mode=args.mode, context=context, seed=args.seed, moment_seq=seq
-    )
-    return {
-        "form": form.name,
-        "max_residual": context.mp.nstr(
-            context.mp.mpf(report.max_residual.magnitude()), 3
-        ),
-        "pass": bool(report.passed),
-    }
+                dev = v - one if k == 0 else v
+            deviations.append(_abs_scalar(dev, context))
+        name = "moment-conditions"
+        worst, ok = _verdict(deviations, Scalar.exact(0), context)
+    else:
+        report = verify(
+            P, w, form, mode=args.mode, context=context, seed=args.seed, moment_seq=seq
+        )
+        name, worst, ok = form.name, report.max_residual, report.passed
+    mp = context.mp
+    return {"form": name, "max_residual": mp.nstr(mp.mpf(worst.magnitude()), 3), "pass": bool(ok)}
 
 
 def cmd_verify(args, context) -> int:

@@ -1,16 +1,14 @@
 """Moments m_n = <x^n> of a weight, and generalized moments <f(x)^k x^j>.
 
 Presets and contours have closed forms (exact rationals, or Gaussian
-rationals over pi for contours). Expression weights are integrated
-numerically with per-entry error estimates.
+rationals over pi for contours, which alone import sympy). Expression
+weights are integrated numerically with per-entry error estimates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-
-import sympy as sp
 
 from . import expressions as ex
 from .errors import (
@@ -124,6 +122,8 @@ def contour_moments(winding: int, count: int, *, mode: str = "float",
         raise ConfigurationError("count must be at least 1 (m_0)")
     Contour(winding)  # validates winding >= 0
     context = context or PrecisionContext()
+    import sympy as sp
+
     c = sp.I * sp.pi * (2 * winding + 1)
     exact_values = [sp.Integer(1)]
     for n in range(1, count):

@@ -14,13 +14,18 @@ Exact and Float(p) values may be mixed (the exact side is converted to
 p digits first), two Float values of different precision may not.
 Converting Float back to Exact is forbidden so approximate values can
 never masquerade as exact ones.
+
+sympy is imported only where such a value is made or used: contour
+weights and the irrational normalization constants of the presets. Runs
+with rational values alone never load it; a sympy value cannot exist
+before sympy is loaded, so type tests look it up in ``sys.modules``.
 """
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
-import sympy as sp
 from mpmath.ctx_mp import MPContext
 
 from .errors import ConfigurationError, ModeError
@@ -100,6 +105,8 @@ def _canon_exact(value):
     if isinstance(value, Fraction):
         return value
     if not value.is_Rational:
+        import sympy as sp
+
         value = sp.expand(value)
         if not value.is_Rational:
             return value
@@ -109,8 +116,16 @@ def _canon_exact(value):
 def _sympy_value(value):
     """An exact value as a sympy number, for arithmetic with a non-rational operand."""
     if isinstance(value, Fraction):
+        import sympy as sp
+
         return sp.Rational(value.numerator, value.denominator)
     return value
+
+
+def _is_sympy_number(value) -> bool:
+    """Whether value is a sympy expression (sympy is never imported to answer)."""
+    sp = sys.modules.get("sympy")
+    return sp is not None and isinstance(value, sp.Expr)
 
 
 def _to_exact_value(value):
@@ -122,7 +137,7 @@ def _to_exact_value(value):
         raise TypeError("bool is not a scalar value")
     if isinstance(value, (int, Fraction, str)):
         return Fraction(value)
-    if isinstance(value, sp.Expr):
+    if _is_sympy_number(value):
         if value.free_symbols:
             raise ValueError(f"exact scalar must be a number, got {value}")
         return value
@@ -197,8 +212,7 @@ class Scalar:
             mp = mp_context(30)
             if isinstance(self.value, Fraction):
                 return _fraction_mpf(mp, abs(self.value))
-            approx = sp.Abs(self.value).evalf(30)
-            return mp.convert(approx)
+            return mp.convert(abs(self.value).evalf(30))
         ctx = mp_context(self.precision)
         return ctx.fabs(self.value)
 
@@ -311,7 +325,7 @@ def _coerce(value):
         return NotImplemented
     if isinstance(value, (int, Fraction)):
         return Scalar.exact(value)
-    if isinstance(value, sp.Expr) and not value.free_symbols:
+    if _is_sympy_number(value) and not value.free_symbols:
         return Scalar.exact(value)
     return NotImplemented
 
@@ -326,6 +340,8 @@ def _exact_is_zero(expr) -> bool:
     z = expr.is_zero
     if z is not None:
         return z
+    import sympy as sp
+
     expanded = sp.expand(expr)
     z = expanded.is_zero
     if z is not None:

@@ -3,6 +3,11 @@
 A Weight is immutable. Normalization divides the raw body by its integral
 so that m0 = 1; the divisor is kept on the Weight. Endpoint power-law
 exponents ride along as metadata for the quadrature engine.
+
+Preset moments are rational and computed with Fraction. The divisors of
+presets and contours may be irrational (Gamma, Beta, pi, i pi); they are
+sympy numbers, built the first time ``Weight.normalization`` is read, so
+a run that never needs them never imports sympy.
 """
 
 from __future__ import annotations
@@ -10,8 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-
-import sympy as sp
 
 from . import expressions as ex
 from .errors import ConfigurationError, IntegrabilityError, NormalizationError
@@ -95,11 +98,11 @@ class Preset:
         return Fraction(0), Fraction(0)
 
     def divisor(self):
-        """Integral of the raw body over the interval, as an exact sympy number."""
+        """Integral of the raw body over the interval, exact (sympy when irrational)."""
         raise NotImplementedError
 
-    def moment(self, n: int):
-        """n-th moment of the normalized weight, as an exact rational (sympy)."""
+    def moment(self, n: int) -> Fraction:
+        """n-th moment of the normalized weight, as an exact rational."""
         raise NotImplementedError
 
 
@@ -118,14 +121,15 @@ def _product_text(parts):
     return "*".join(parts) if parts else "1"
 
 
-def _ratio_product(a: Fraction, b: Fraction, n: int):
-    # prod_{j<n} (a+j)/(b+j) as an exact sympy Rational
-    num = sp.Integer(1)
-    den = sp.Integer(1)
+def _ratio_product(a: Fraction, b: Fraction, n: int) -> Fraction:
+    # prod_{j<n} (a+j)/(b+j)
+    num = Fraction(1)
+    den = Fraction(1)
     for j in range(n):
-        num *= sp.Rational(a.numerator + j * a.denominator, a.denominator)
-        den *= sp.Rational(b.numerator + j * b.denominator, b.denominator)
+        num *= a + j
+        den *= b + j
     return num / den
+
 
 
 @dataclass(frozen=True)
@@ -150,11 +154,13 @@ class Laguerre(Preset):
         return self.gamma - 1, Fraction(0)
 
     def divisor(self):
-        return sp.gamma(sp.Rational(self.gamma.numerator, self.gamma.denominator))
+        import sympy as sp
+
+        return sp.gamma(self.gamma)
 
     def moment(self, n):
         # rising factorial gamma (gamma+1) ... (gamma+n-1)
-        return _ratio_product(self.gamma, Fraction(1), n) * sp.factorial(n)
+        return _ratio_product(self.gamma, Fraction(1), n) * math.factorial(n)
 
 
 @dataclass(frozen=True)
@@ -185,9 +191,9 @@ class JacobiAdd(Preset):
         return self.q - 2, self.p - self.q
 
     def divisor(self):
-        a = sp.Rational((self.q - 1).numerator, (self.q - 1).denominator)
-        b = sp.Rational((self.p - self.q + 1).numerator, (self.p - self.q + 1).denominator)
-        return sp.beta(a, b)
+        import sympy as sp
+
+        return sp.beta(self.q - 1, self.p - self.q + 1)
 
     def moment(self, n):
         return _ratio_product(self.q - 1, self.p, n)
@@ -210,6 +216,8 @@ class ChebyshevU2Add(Preset):
         return Fraction(-1, 2), Fraction(1, 2)
 
     def divisor(self):
+        import sympy as sp
+
         return sp.pi / 2
 
     def moment(self, n):
@@ -244,9 +252,9 @@ class JacobiMult(Preset):
         return self.q - 1, self.p - self.q - 1
 
     def divisor(self):
-        a = sp.Rational(self.q.numerator, self.q.denominator)
-        b = sp.Rational((self.p - self.q).numerator, (self.p - self.q).denominator)
-        return sp.beta(a, b)
+        import sympy as sp
+
+        return sp.beta(self.q, self.p - self.q)
 
     def moment(self, n):
         return _ratio_product(self.q, self.p, n)
@@ -269,6 +277,8 @@ class ChebyshevU2Mult(Preset):
         return Fraction(1, 2), Fraction(-1, 2)
 
     def divisor(self):
+        import sympy as sp
+
         return sp.pi / 2
 
     def moment(self, n):
@@ -289,10 +299,10 @@ class UniformSymmetric(Preset):
         return "1"
 
     def divisor(self):
-        return sp.Integer(2)
+        return Fraction(2)
 
     def moment(self, n):
-        return sp.Integer(0) if n % 2 else sp.Rational(1, n + 1)
+        return Fraction(0) if n % 2 else Fraction(1, n + 1)
 
 
 PRESETS = {
@@ -325,6 +335,8 @@ class Contour:
             raise ConfigurationError(f"winding must be an integer >= 0, got {self.winding}")
 
     def constant(self):
+        import sympy as sp
+
         return sp.I * sp.pi * (2 * self.winding + 1)
 
 
@@ -332,17 +344,39 @@ class Contour:
 # the Weight record
 
 
+class _BuiltOnFirstRead:
+    """Field descriptor: a zero-argument callable given to the constructor
+    (a preset's ``divisor``, a contour's ``constant``) is called on the first
+    read, and ``Scalar.exact`` of its result is kept and returned."""
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            raise AttributeError(self.name)  # no class-level default: the field stays required
+        value = obj.__dict__[self.name]
+        if callable(value):
+            value = Scalar.exact(value())
+            obj.__dict__[self.name] = value
+        return value
+
+    def __set__(self, obj, value):
+        obj.__dict__[self.name] = value
+
+
 @dataclass(frozen=True)
 class Weight:
     interval: Interval
     body: object  # Preset | expression tree | Contour
-    normalization: Scalar | None  # divisor applied to the raw body; None = unnormalized
+    # divisor applied to the raw body; None = unnormalized
+    normalization: Scalar | None = _BuiltOnFirstRead()
     endpoint_exponents: tuple
     weight_id: str
 
     @property
     def is_normalized(self) -> bool:
-        return self.normalization is not None
+        return self.__dict__["normalization"] is not None  # without building the divisor
 
     @property
     def is_contour(self) -> bool:
@@ -383,7 +417,7 @@ def preset_weight(name_or_preset, **params) -> Weight:
     return Weight(
         interval=preset.interval(),
         body=preset,
-        normalization=Scalar.exact(preset.divisor()),
+        normalization=preset.divisor,
         endpoint_exponents=preset.exponents(),
         weight_id=label,
     )
@@ -394,7 +428,7 @@ def contour_weight(winding: int = 0) -> Weight:
     return Weight(
         interval=Interval(-1, 1),
         body=body,
-        normalization=Scalar.exact(body.constant()),
+        normalization=body.constant,
         endpoint_exponents=(Fraction(0), Fraction(0)),
         weight_id=f"contour[k={winding}]",
     )

@@ -5,8 +5,8 @@ import mpmath
 
 import pytest
 
-from orthoieq import Multiplicative
-from orthoieq.cli import _form_from_args, build_parser, main
+from orthoieq import Additive, Multiplicative, Polynomial, PrecisionContext, contour_weight
+from orthoieq.cli import _form_from_args, _verification_summary, build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -252,7 +252,12 @@ class TestSharedFormParser:
         (["--variant", "shift", "--a", "1", "--b", "0"], "error: linear shift requires b != 0\n"),
         (["--variant", "multiplicative", "--pattern=-1"],
          "error: pattern indices must be nonnegative\n"),
-    ], ids=["missing-b", "missing-f", "b-zero", "negative-pattern"])
+        (["--variant", "multiplicative", "--pattern", "a"],
+         "error: --pattern expects comma-separated integers, got 'a'\n"),
+        (["--variant", "multiplicative", "--pattern", "0,1.5"],
+         "error: --pattern expects comma-separated integers, got '0,1.5'\n"),
+    ], ids=["missing-b", "missing-f", "b-zero", "negative-pattern", "letter-pattern",
+            "decimal-pattern"])
     def test_poly_and_verify_report_the_same_error(self, capsys, tmp_path, flags, message):
         poly_file = tmp_path / "poly.json"
         poly_file.write_text('[{"num": "-1", "den": "1"}, {"num": "1", "den": "1"}]')
@@ -278,3 +283,32 @@ class TestSharedFormParser:
             "numeric failure: generalized moment <f^1 x^0> of expr[x*(1-x) on (0, 1)]: "
             "integration of x*(1-x) failed: ZeroDivisionError\n"
         )
+
+
+class TestContourVerdict:
+    """Contour solutions are judged on their moment conditions by the shared
+    verdict rule: exact deviations must vanish, float ones stay within
+    10^(10-p)."""
+
+    def summary(self, coeffs, mode):
+        P = Polynomial([Fraction(c) for c in coeffs])
+        args = build_parser().parse_args(["poly", "--contour", "-n", "2", "--mode", mode])
+        return _verification_summary(P, contour_weight(0), Additive(), args,
+                                     PrecisionContext(50), None)
+
+    def test_the_solution_passes(self):
+        assert self.summary([1, 0, -3], "exact") == {
+            "form": "moment-conditions", "max_residual": "0.0", "pass": True}
+        assert self.summary([1, 0, -3], "float")["pass"] is True
+
+    def test_exact_mode_fails_any_nonzero_deviation(self):
+        # <P> - 1 = 10^-60: far below 10^(10-p), but not zero
+        summary = self.summary([1 + Fraction(1, 10**60), 0, -3], "exact")
+        assert summary == {"form": "moment-conditions", "max_residual": "1.0e-60",
+                           "pass": False}
+
+    @pytest.mark.parametrize("offset,passed", [(Fraction(1, 10**60), True),
+                                               (Fraction(1, 10**30), False)])
+    def test_float_mode_keeps_its_threshold(self, offset, passed):
+        summary = self.summary([1 + offset, 0, -3], "float")
+        assert summary["pass"] is passed

@@ -11,11 +11,14 @@ from orthoieq import (
     NormalizationError,
     Scalar,
     contour_weight,
+    moments,
     normalize,
     parse_weight,
     preset_weight,
     scalar_eq,
 )
+from orthoieq.numeric import tolerance
+from orthoieq.quadrature import integrate_expression
 
 from conftest import ALL_PRESETS, make_weight
 
@@ -94,6 +97,85 @@ class TestNormalization:
     def test_already_normalized_is_identity(self, ctx50):
         w = preset_weight("laguerre", gamma=1)
         assert normalize(w, ctx50) is w
+
+
+def _rational(value):
+    return sp.Rational(value.numerator, value.denominator)
+
+
+def _sympy_ratio_product(a, b, n):
+    # prod_{j<n} (a+j)/(b+j) in sympy Rationals, as the presets computed it before
+    num = sp.Integer(1)
+    den = sp.Integer(1)
+    for j in range(n):
+        num *= sp.Rational(a.numerator + j * a.denominator, a.denominator)
+        den *= sp.Rational(b.numerator + j * b.denominator, b.denominator)
+    return num / den
+
+
+# the sympy closed forms the presets used before their moments became Fractions
+# and their divisors were built on first read
+SYMPY_MOMENT = {
+    "laguerre": lambda b, n: _sympy_ratio_product(b.gamma, Fraction(1), n) * sp.factorial(n),
+    "jacobi-add": lambda b, n: _sympy_ratio_product(b.q - 1, b.p, n),
+    "chebyshev-u2-add": lambda b, n: _sympy_ratio_product(Fraction(1, 2), Fraction(2), n),
+    "jacobi-mult": lambda b, n: _sympy_ratio_product(b.q, b.p, n),
+    "chebyshev-u2-mult": lambda b, n: _sympy_ratio_product(Fraction(3, 2), Fraction(2), n),
+    "uniform-symmetric": lambda b, n: sp.Integer(0) if n % 2 else sp.Rational(1, n + 1),
+}
+SYMPY_DIVISOR = {
+    "laguerre": lambda b: sp.gamma(_rational(b.gamma)),
+    "jacobi-add": lambda b: sp.beta(_rational(b.q - 1), _rational(b.p - b.q + 1)),
+    "chebyshev-u2-add": lambda b: sp.pi / 2,
+    "jacobi-mult": lambda b: sp.beta(_rational(b.q), _rational(b.p - b.q)),
+    "chebyshev-u2-mult": lambda b: sp.pi / 2,
+    "uniform-symmetric": lambda b: sp.Integer(2),
+}
+CLOSED_FORM_PRESETS = ALL_PRESETS + [
+    ("laguerre", {"gamma": "7/3"}),
+    ("jacobi-add", {"p": "7/3", "q": "5/4"}),
+    ("jacobi-mult", {"p": "9/2", "q": "1/3"}),
+]
+# one member per family, with an irrational divisor wherever the family has one
+QUADRATURE_PRESETS = [
+    ("laguerre", {"gamma": "5/2"}),
+    ("jacobi-add", {"p": "7/3", "q": "5/4"}),
+    ("chebyshev-u2-add", {}),
+    ("jacobi-mult", {"p": "9/2", "q": "1/3"}),
+    ("chebyshev-u2-mult", {}),
+    ("uniform-symmetric", {}),
+]
+
+
+class TestClosedFormsMatchSympy:
+    @pytest.mark.parametrize("name,params", CLOSED_FORM_PRESETS)
+    def test_fraction_moments_equal_sympy_closed_forms(self, name, params):
+        w = make_weight(name, params)
+        exact = moments(w, 31, mode="exact")
+        for n in range(31):
+            want = SYMPY_MOMENT[name](w.body, n)
+            got = w.body.moment(n)
+            assert type(got) is Fraction
+            assert got == Fraction(int(want.p), int(want.q))
+            assert exact[n] == Scalar.exact(want)
+
+    @pytest.mark.parametrize("name,params", CLOSED_FORM_PRESETS)
+    def test_divisor_built_on_read_equals_sympy_closed_form(self, name, params):
+        w = make_weight(name, params)
+        assert w.normalization == Scalar.exact(SYMPY_DIVISOR[name](w.body))
+        assert w.normalization is w.normalization  # built once, then kept
+
+    @pytest.mark.parametrize("name,params", QUADRATURE_PRESETS)
+    def test_quadrature_moments_divide_by_the_same_value(self, name, params, ctx50):
+        w = make_weight(name, params)
+        got = moments(w, 9, context=ctx50, method="quadrature")
+        norm = Scalar.exact(SYMPY_DIVISOR[name](w.body)).to_float(ctx50).value
+        raw = integrate_expression(
+            w.expression(), w.interval, ctx50,
+            [None] + [lambda x, s, n=n: x**n for n in range(1, 9)],
+            endpoint_exponents=w.endpoint_exponents, target=tolerance(ctx50, 10),
+        )
+        assert [v.value for v in got.values] == [r.value / norm for r, _err in raw]
 
 
 class TestParseWeight:
