@@ -28,7 +28,7 @@ from .errors import (
     WeightSyntaxError,
 )
 from .hankel import hankel_condition, normalization, solve_polynomial
-from .moments import contour_moments, moments
+from .moments import contour_moments, generalized_moments, moments
 from .numeric import DEFAULT_PRECISION, PrecisionContext, Scalar
 from .polynomials import Polynomial, inner_moment, shifted_inner
 from .variants import (
@@ -436,21 +436,26 @@ def _verification_summary(P, w, form, args, context, seq):
     if w.is_contour:
         # pointwise substitution is undefined on a contour; check the linear
         # conditions of the form in force instead
-        need = 2 * P.degree + 1
-        m = seq if seq is not None and len(seq) >= need else contour_moments(
-            w.body.winding, need, mode=args.mode, context=context
-        )
+        n = P.degree
+        if isinstance(form, Functional):
+            rows = generalized_moments(w, form.f, n, n, context=context)  # <f^k x^j>
+        else:
+            m = seq if seq is not None and len(seq) >= 2 * n + 1 else contour_moments(
+                w.body.winding, 2 * n + 1, mode=args.mode, context=context
+            )
         one = Scalar.exact(1)
         deviations = []
-        for k in range(P.degree + 1):
-            if isinstance(form, LinearShift):
-                v = shifted_inner(P, k, form.a, form.b, m)
-                dev = v - one if k == 0 else v
-            elif isinstance(form, Multiplicative):
-                in_support = k in form.pattern or k == P.degree
+        for k in range(n + 1):
+            if isinstance(form, Multiplicative):
+                in_support = k in form.pattern or k == n
                 dev = inner_moment(P, k, m) - one if in_support else P.coefficient(k)
             else:
-                v = inner_moment(P, k, m)
+                if isinstance(form, LinearShift):
+                    v = shifted_inner(P, k, form.a, form.b, m)
+                elif isinstance(form, Functional):
+                    v = inner_moment(P, 0, rows[k])
+                else:
+                    v = inner_moment(P, k, m)
                 dev = v - one if k == 0 else v
             deviations.append(_abs_scalar(dev, context))
         name = "moment-conditions"

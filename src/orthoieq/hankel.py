@@ -55,20 +55,23 @@ class HankelSystem:
 def hankel_condition(m, n: int, *, context: PrecisionContext | None = None):
     """det B_n and a validity flag.
 
-    Exact mode: valid iff the determinant is not exactly zero. Float mode:
-    valid iff no elimination pivot collapses below 10^(15-p) times the
-    magnitude of its remaining submatrix, i.e. the determinant is
-    distinguishable from rounding noise at precision p. (A threshold of
-    10^(15-p) times the product of row max-norms would be the Hadamard
-    worst case; it misclassifies every fast-growing positive-measure
-    Hankel matrix as singular, so the per-pivot form is used.)
+    Both modes run the same partially pivoted LU elimination. Exact mode:
+    valid iff the determinant is not exactly zero, i.e. no pivot column of
+    the elimination is entirely zero. Float mode: valid iff no elimination
+    pivot collapses below 10^(15-p) times the magnitude of its remaining
+    submatrix, i.e. the determinant is distinguishable from rounding noise
+    at precision p. (A threshold of 10^(15-p) times the product of row
+    max-norms would be the Hadamard worst case; it misclassifies every
+    fast-growing positive-measure Hankel matrix as singular, so the
+    per-pivot form is used.)
     """
     system = HankelSystem.from_moments(m, n)
-    if system.B[0][0].is_exact:
-        det = determinant([list(row) for row in system.B])
-        return det, not det.is_zero()
-    context = context or PrecisionContext(system.B[0][0].precision)
-    det, collapsed = det_lu_flag([list(row) for row in system.B], tolerance(context, 15))
+    corner = system.B[0][0]
+    if corner.is_exact:
+        threshold = None
+    else:
+        threshold = tolerance(context or PrecisionContext(corner.precision), 15)
+    det, collapsed = det_lu_flag([list(row) for row in system.B], threshold)
     return det, not collapsed
 
 

@@ -3,8 +3,9 @@
 Solves use Gaussian elimination: exact systems take the first nonzero
 pivot (exact arithmetic gains nothing from magnitude pivoting), float
 systems pivot fully at working precision.
-Determinants use fraction-free Bareiss elimination in exact mode and
-partially pivoted LU in float mode.
+Determinants use partially pivoted LU elimination in both modes; exact
+entries (Fraction or sympy) keep every quotient exact, so the result is
+the exact determinant.
 """
 
 from __future__ import annotations
@@ -57,37 +58,7 @@ def solve_full_pivot(matrix, rhs):
 def determinant(matrix) -> Scalar:
     if not matrix:
         return Scalar.exact(1)
-    if matrix[0][0].is_exact:
-        return _det_bareiss(matrix)
-    return _det_lu(matrix)
-
-
-def _det_bareiss(matrix) -> Scalar:
-    a = [list(row) for row in matrix]
-    n = len(a)
-    sign = 1
-    prev = Scalar.exact(1)
-    for i in range(n - 1):
-        if a[i][i].is_zero():
-            for r in range(i + 1, n):
-                if not a[r][i].is_zero():
-                    a[i], a[r] = a[r], a[i]
-                    sign = -sign
-                    break
-            else:
-                return Scalar.exact(0)
-        for r in range(i + 1, n):
-            for c in range(i + 1, n):
-                a[r][c] = (a[r][c] * a[i][i] - a[r][i] * a[i][c]) / prev
-            a[r][i] = Scalar.exact(0)
-        prev = a[i][i]
-    det = a[n - 1][n - 1]
-    return -det if sign < 0 else det
-
-
-def _det_lu(matrix) -> Scalar:
-    det, _ = det_lu_flag(matrix, None)
-    return det
+    return det_lu_flag(matrix, None)[0]
 
 
 def det_lu_flag(matrix, rel_threshold):
@@ -96,7 +67,9 @@ def det_lu_flag(matrix, rel_threshold):
     The matrix counts as numerically singular when some pivot falls to
     rel_threshold (an mpf) times the magnitude of the largest entry of the
     remaining submatrix: at that point the pivot is indistinguishable from
-    elimination noise. Pass rel_threshold=None to skip the check.
+    elimination noise. Pass rel_threshold=None to skip the check; the flag
+    then reports only a pivot column that is entirely zero, which for exact
+    entries happens exactly when the determinant is zero.
     """
     a = [list(row) for row in matrix]
     n = len(a)

@@ -1,8 +1,9 @@
 """Moments m_n = <x^n> of a weight, and generalized moments <f(x)^k x^j>.
 
 Presets and contours have closed forms (exact rationals, or Gaussian
-rationals over pi for contours, which alone import sympy). Expression
-weights are integrated numerically with per-entry error estimates.
+rationals over pi for contours, which alone import sympy, and only in
+exact mode). Expression weights are integrated numerically with
+per-entry error estimates.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from .errors import (
     ModeError,
     QuadratureError,
 )
-from .numeric import PrecisionContext, Scalar, scalar_eq, tolerance
+from .numeric import PrecisionContext, Scalar, mp_context, scalar_eq, tolerance
 from .quadrature import _EVAL_ERRORS, integrate_expression, working_context
 from .weights import Contour, Weight
 
@@ -122,16 +123,21 @@ def contour_moments(winding: int, count: int, *, mode: str = "float",
         raise ConfigurationError("count must be at least 1 (m_0)")
     Contour(winding)  # validates winding >= 0
     context = context or PrecisionContext()
-    import sympy as sp
-
-    c = sp.I * sp.pi * (2 * winding + 1)
-    exact_values = [sp.Integer(1)]
-    for n in range(1, count):
-        exact_values.append(sp.expand((1 - (-1) ** n) / (n * c)))
     if mode == "exact":
-        values = tuple(Scalar.exact(v) for v in exact_values)
+        import sympy as sp
+
+        c = sp.I * sp.pi * (2 * winding + 1)
+        values = (Scalar.exact(1),) + tuple(
+            Scalar.exact(sp.expand((1 - (-1) ** n) / (n * c))) for n in range(1, count)
+        )
     elif mode == "float":
-        values = tuple(Scalar.exact(v).to_float(context) for v in exact_values)
+        # odd m_n = -2i / (n (2k+1) pi), formed at p+10 digits and rounded once to p
+        mp, work = context.mp, mp_context(context.precision + 10)
+        values = tuple(
+            Scalar(mp.mpc(0, -2 / (n * (2 * winding + 1) * work.pi)) if n % 2
+                   else mp.mpf(1 if n == 0 else 0), context.precision)
+            for n in range(count)
+        )
     else:
         raise ConfigurationError(f"mode must be 'float' or 'exact', got {mode!r}")
     return MomentSequence(values, "contour", f"contour[k={winding}]", winding=winding)
@@ -158,7 +164,7 @@ def generalized_moments(w: Weight, f, kmax: int, jmax: int, *,
         deg_f = len(poly) - 1
         need = deg_f * kmax + jmax + 1
         if plain is None or len(plain) < need:
-            plain = moments(w, need, mode="exact" if w.is_preset else "float",
+            plain = moments(w, need, mode="exact" if w.is_preset or w.is_contour else "float",
                             context=context)
         return _polynomial_generalized(poly, kmax, jmax, plain)
 

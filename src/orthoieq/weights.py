@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from . import expressions as ex
 from .errors import ConfigurationError, IntegrabilityError, NormalizationError
-from .numeric import PrecisionContext, Scalar
+from .numeric import PrecisionContext, Scalar, tolerance
 
 INF = math.inf
 
@@ -479,13 +479,9 @@ def normalize(w: Weight, context: PrecisionContext | None = None) -> Weight:
     [(total, err)] = integrate_expression(
         w.body, w.interval, context, endpoint_exponents=w.endpoint_exponents
     )
-    mp = context.mp
-    mag = abs(total.value)
-    if not mp.isfinite(mag) or mag > mp.mpf(10) ** min(30, context.precision // 2):
-        raise IntegrabilityError(
-            f"integral of {w.weight_id} appears divergent (magnitude {mp.nstr(mag, 5)})"
-        )
-    if mag <= max(err.value * 10, mp.mpf(10) ** (10 - context.precision)):
+    # integrate_expression has already raised IntegrabilityError for a
+    # non-finite or divergent-looking total
+    if abs(total.value) <= max(err.value * 10, tolerance(context, 10)):
         raise NormalizationError(
             f"integral of {w.weight_id} is numerically indistinguishable from zero"
         )

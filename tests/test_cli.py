@@ -5,7 +5,15 @@ import mpmath
 
 import pytest
 
-from orthoieq import Additive, Multiplicative, Polynomial, PrecisionContext, contour_weight
+from orthoieq import (
+    Additive,
+    Functional,
+    Multiplicative,
+    Polynomial,
+    PrecisionContext,
+    contour_weight,
+    solve_functional,
+)
 from orthoieq.cli import _form_from_args, _verification_summary, build_parser, main
 
 
@@ -312,3 +320,31 @@ class TestContourVerdict:
     def test_float_mode_keeps_its_threshold(self, offset, passed):
         summary = self.summary([1 + offset, 0, -3], "float")
         assert summary["pass"] is passed
+
+
+class TestContourFunctionalCheck:
+    """A contour functional solution is checked on its own conditions
+    <f^k P> = delta_k0, not on the additive ones <x^k P> = delta_k0."""
+
+    ARGV = ["poly", "--contour", "-n", "3", "--variant", "functional", "--f", "x^3+x",
+            "--mode", "exact"]
+
+    def test_the_solution_passes(self, capsys):
+        code, out, _ = run_cli(capsys, *self.ARGV)
+        assert code == 0
+        record = first_record(out)
+        assert record["mode"] == "exact"
+        assert record["coefficients"][0] == {"num": "0", "den": "1"}
+        assert record["verification"] == {"form": "moment-conditions", "max_residual": "0.0",
+                                          "pass": True}
+
+    def test_a_corrupted_coefficient_fails(self):
+        w = contour_weight(0)
+        P = solve_functional(w, "x^3+x", 3, mode="exact")
+        coeffs = list(P.coeffs)
+        coeffs[1] = coeffs[1] * (1 + Fraction(1, 10**40))
+        args = build_parser().parse_args(self.ARGV)
+        summary = _verification_summary(Polynomial(coeffs), w, Functional("x^3+x"), args,
+                                        PrecisionContext(50), None)
+        assert summary["form"] == "moment-conditions"
+        assert summary["pass"] is False and summary["max_residual"] != "0.0"

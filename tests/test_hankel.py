@@ -22,6 +22,7 @@ from orthoieq import (
     scalar_eq,
     solve_polynomial,
 )
+from orthoieq.linalg import determinant
 
 from conftest import ADDITIVE_PRESETS, make_weight
 
@@ -229,3 +230,84 @@ class TestNormalizationCrossCheck:
         m = MomentSequence.from_values([1, 1, 2, 6])
         with pytest.raises(InsufficientMomentsError):
             normalization(m, 2)  # needs m_0..m_5
+
+
+# -- one determinant algorithm for both modes ---------------------------------
+
+
+def bareiss(matrix):
+    """Fraction-free Bareiss elimination: the independent exact oracle for
+    linalg.determinant, which runs partially pivoted LU in both modes."""
+    a = [list(row) for row in matrix]
+    n = len(a)
+    sign = 1
+    prev = Scalar.exact(1)
+    for i in range(n - 1):
+        if a[i][i].is_zero():
+            for r in range(i + 1, n):
+                if not a[r][i].is_zero():
+                    a[i], a[r] = a[r], a[i]
+                    sign = -sign
+                    break
+            else:
+                return Scalar.exact(0)
+        for r in range(i + 1, n):
+            for c in range(i + 1, n):
+                a[r][c] = (a[r][c] * a[i][i] - a[r][i] * a[i][c]) / prev
+            a[r][i] = Scalar.exact(0)
+        prev = a[i][i]
+    det = a[n - 1][n - 1]
+    return -det if sign < 0 else det
+
+
+def hankel_matrices(m, n):
+    """B_n, C_n, C_(n+1) and every cofactor minor of polynomial_via_determinants."""
+    B = [[m[k + j] for j in range(n + 1)] for k in range(n + 1)]
+    C = [[m[k + j + 1] for j in range(n)] for k in range(n)]
+    C1 = [[m[k + j + 1] for j in range(n + 1)] for k in range(n + 1)]
+    rows = B[1:]
+    minors = [[[row[c] for c in range(n + 1) if c != j] for row in rows] for j in range(n + 1)]
+    return [B, C1] + ([C] + minors if n else [])  # n = 0: C_0 and the minors are empty
+
+
+class TestDeterminantMatchesBareiss:
+    @pytest.mark.parametrize("name,params", [
+        ("laguerre", {"gamma": 1}),
+        ("jacobi-add", {"p": 3, "q": 2}),
+        ("uniform-symmetric", {}),  # odd moments vanish: zero pivots force row swaps
+    ])
+    def test_preset_hankel_matrices_to_10(self, name, params):
+        m = moments(make_weight(name, params), 22, mode="exact")
+        for n in range(11):
+            for matrix in hankel_matrices(m, n):
+                assert determinant(matrix) == bareiss(matrix)
+
+    @pytest.mark.parametrize("winding", [0, 1])
+    def test_contour_hankel_matrices_to_6(self, winding):
+        m = contour_moments(winding, 14, mode="exact")
+        for n in range(7):
+            for matrix in hankel_matrices(m, n):
+                assert determinant(matrix) == bareiss(matrix)
+
+    def test_zero_corner_entry(self):
+        matrix = [[Scalar.exact(v) for v in row] for row in ([0, 2, 1], [3, 1, 4], [1, 5, 9])]
+        assert determinant(matrix) == bareiss(matrix) == Scalar.exact(-32)
+
+    def test_empty_matrix_is_exact_one(self):
+        det = determinant([])
+        assert det.is_exact and det == Scalar.exact(1)
+
+    @pytest.mark.parametrize("values,n", [
+        ([1, 1, 1], 1),  # a point mass at 1: B_1 has rank 1
+        ([1, Fraction(1, 2), Fraction(1, 4), 1, 1], 1),  # m_2 = m_1^2
+        ([1, 0, 1, 0, 1], 2),  # point masses at -1 and 1: rank 2, zero column at the last step
+        ([1, 2, 5, 14, 41, 122, 365], 3),  # masses 1/2 at 1 and 3: B_2 and B_3 have rank 2
+    ])
+    def test_singular_hankel_matrices(self, values, n):
+        m = MomentSequence.from_values(values)
+        B = [[m[k + j] for j in range(n + 1)] for k in range(n + 1)]
+        assert determinant(B) == bareiss(B) == Scalar.exact(0)
+        det, valid = hankel_condition(m, n)
+        assert det.is_exact and det == Scalar.exact(0) and valid is False
+        with pytest.raises(SingularHankelError, match=rf"det B_{n} = 0 is zero"):
+            solve_polynomial(m, n)

@@ -80,3 +80,12 @@ def test_exact_contour_still_loads_sympy_and_gives_legendre():
     assert coeffs == [1, 0, -3]  # -2 * Legendre P_2 = -(3x^2 - 1)
     assert record["verification"] == {"form": "moment-conditions", "max_residual": "0.0",
                                       "pass": True}
+
+
+def test_float_contour_poly_leaves_sympy_out():
+    result = run_cli("poly", "--contour", "-n", "2")
+    assert result["code"] == 0
+    assert result["sympy"] is False
+    record = json.loads(result["stdout"])
+    assert record["mode"] == "float"
+    assert record["verification"]["pass"] is True

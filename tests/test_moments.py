@@ -147,6 +147,21 @@ class TestContourMoments:
         assert abs(m[1].value - mp.mpc(0, -2 / mp.pi)) < mp.mpf(10) ** -45
         assert abs(m[2].value) == 0
 
+    @pytest.mark.parametrize("precision", [16, 30, 77, 100])
+    @pytest.mark.parametrize("winding", [0, 1])
+    def test_float_mode_equals_rounded_closed_form(self, precision, winding):
+        # float moments come from mpmath; they must be the sympy closed form
+        # rounded to p digits, bit for bit and of the same type
+        ctx = with_precision(precision)
+        got = contour_moments(winding, 40, context=ctx)
+        c = sp.I * sp.pi * (2 * winding + 1)
+        for n in range(40):
+            closed = sp.Integer(1) if n == 0 else sp.expand((1 - (-1) ** n) / (n * c))
+            want = Scalar.exact(closed).to_float(ctx)
+            assert got[n] == want
+            assert type(got[n].value) is type(want.value)
+            assert got[n].precision == precision
+
 
 class TestGeneralizedMoments:
     def test_identity_reduces_to_plain(self):

@@ -3,6 +3,7 @@ from math import comb
 
 import mpmath
 import pytest
+import sympy as sp
 
 from orthoieq import (
     Additive,
@@ -288,6 +289,14 @@ class TestFunctional:
     def test_degree_zero(self):
         w = preset_weight("laguerre", gamma=1)
         assert solve_functional(w, "x^2", 0) == Polynomial([1])
+
+    def test_contour_solve_stays_exact(self):
+        # m_1 = 2/(i pi), m_3 = 2/(3 i pi), m_4 = 0: a_0 + a_1 m_1 = 1 and
+        # a_0 m_3 + a_1 m_4 = 0 give a_0 = 0, a_1 = i pi / 2
+        P = solve_functional(contour_weight(0), "x^3", 1, mode="exact")
+        assert all(c.is_exact for c in P.coeffs)
+        assert P.coeffs[0] == Scalar.exact(0)
+        assert P.coeffs[1] == Scalar.exact(sp.I * sp.pi / 2)
 
     def test_sqrt_argument_by_hand(self, ctx50):
         # f = sqrt(x) on e^-x: a + b = 1, a Gamma(3/2) + b Gamma(5/2) = 0
