@@ -99,7 +99,7 @@ def _quadrature_moments(w: Weight, count: int, context: PrecisionContext) -> Mom
     norm = w.normalization.to_float(context).value
     entries = integrate_expression(
         w.expression(), w.interval, context,
-        [None] + [lambda x, s, n=n: x**n for n in range(1, count)],
+        [(0, n) for n in range(count)],
         endpoint_exponents=w.endpoint_exponents,
         target=tolerance(context, 10),
         wrap_error=lambda n, exc: QuadratureError(
@@ -180,8 +180,7 @@ def generalized_moments(w: Weight, f, kmax: int, jmax: int, *,
     norm = w.normalization.to_float(context).value
     entries = integrate_expression(
         w.expression(), w.interval, context,
-        [lambda x, s, k=k, j=j: (s()**k if k else 1) * (x**j if j else 1)
-         for k in range(kmax + 1) for j in range(width)],
+        [(k, j) for k in range(kmax + 1) for j in range(width)],
         shared=ex.compile_float(f, working_context(context.precision)),
         endpoint_exponents=w.endpoint_exponents,
         target=tolerance(context, 10),

@@ -8,14 +8,18 @@ endpoint representation cancellation caps tanh-sinh accuracy near half
 the working digits. Semi-infinite intervals are remapped by
 x = a + t/(1-t); doubly infinite ones are split at 0.
 
-A moment table integrates the same weight against many factors (x^n,
-f(x)^k x^j, x^j f[P(x)]). The nodes are shared: at each tanh-sinh level
-the weight, and any per-node quantity the factors share, is evaluated
-once per node for all entries. The stopping rule is per entry: each one
-runs mpmath's own level loop (``TanhSinh.sum_next`` arithmetic,
-``estimate_error``, the eps/8 target, 20 guard bits) and stops at its own
-level, so every value and error estimate equals what a separate
-``quadts(..., error=True, maxdegree=8)`` call returns for that entry.
+A moment table integrates the same weight against many factors s^k x^j
+(x^n, f(x)^k x^j, x^j f[P(x)]), with s = shared(x). The nodes are shared:
+at each tanh-sinh level the weight times the change-of-variables factor,
+and s where an entry needs it, are evaluated once per node, and the powers
+of x and of s are running products kept per node for all entries. Each
+entry runs mpmath's level loop (``TanhSinh.sum_next`` arithmetic,
+``estimate_error``, 20 guard bits, at most 8 levels) and stops at its own
+level: at mpmath's eps/8 target, or as soon as it holds the digits the
+result keeps, p+10 of them by both mpmath's estimate and the last level
+step. Every value and reported error estimate equals, to the p digits
+returned, what a separate ``quadts(..., error=True, maxdegree=8)`` call
+gives for that entry.
 
 Integration runs at 2p+10 digits internally and returns values at p.
 Reported error estimates are floored at the cancellation limit of the
@@ -27,12 +31,15 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from mpmath.libmp import mpc_mul, mpc_mul_mpf, mpf_mul, mpf_sum
+
 from .errors import IntegrabilityError, QuadratureError
 from .numeric import Scalar, mp_context
 from . import expressions as ex
 
 _MAX_DEGREE = 8
 _GUARD_BITS = 20  # what quadts adds to the working precision while summing
+_KEPT_DIGITS = 10  # an entry may stop once it holds p + this many digits
 _EVAL_ERRORS = (ZeroDivisionError, ValueError, OverflowError)
 
 
@@ -45,21 +52,23 @@ def _error_floor(mp, working_dps):
     return mp.mpf(10) ** (-(working_dps // 2 - 4))
 
 
-def integrate_expression(tree, interval, context, factors=(None,), *, shared=None,
+def integrate_expression(tree, interval, context, factors=((0, 0),), *, shared=None,
                          endpoint_exponents=(0, 0), target=None, wrap_error=None):
     """Integrate the expression tree times each factor over the interval.
 
-    Each factor is None (the tree alone) or a callable ``factor(x, s)``
-    returning the multiplier at the working-precision node x; ``s()`` gives
-    ``shared(x)``, evaluated at most once per node and only when a factor
-    asks for it. Compile ``shared`` against ``working_context(p)``.
+    Each factor is a pair (k, j) of non-negative integers standing for the
+    multiplier ``shared(x)^k * x^j``; (0, 0) is the tree alone. ``shared`` is
+    evaluated at most once per node, and only for entries with k >= 1.
+    Compile it against ``working_context(p)``.
 
     Returns one (value, error_estimate) pair of Scalars at the context
-    precision per factor. Raises QuadratureError when an estimate misses the
-    target or evaluation fails, and IntegrabilityError when an integral looks
-    divergent. Of several failing entries the lowest index is raised, as a
-    loop over the entries would; ``wrap_error(index, exc)`` replaces a
-    QuadratureError when given.
+    precision per factor, each equal to the p digits a separate ``quadts``
+    call gives for that entry. Raises QuadratureError when an estimate misses
+    the target or evaluation fails, and IntegrabilityError when an integral
+    is not finite, or is above 10^min(30, p//2) and its last level step still
+    exceeds the target relative to it. Of several failing entries the lowest
+    index is raised, as a loop over the entries would; ``wrap_error(index,
+    exc)`` replaces a QuadratureError when given.
     """
     p = context.precision
     work = working_context(p)
@@ -68,22 +77,25 @@ def integrate_expression(tree, interval, context, factors=(None,), *, shared=Non
     description = ex.to_text(tree)
     pieces = _split_pieces(interval, endpoint_exponents, work)
     weight = ex.compile_float(tree, work)
+    keep = work.mpf(10) ** -(p + _KEPT_DIGITS)
     count = len(factors)
     totals = [work.mpf(0)] * count
     ests = [work.mpf(0)] * count
+    steps = [work.mpf(0)] * count
     failed = None  # (index, exception) of the lowest-index failure so far
     for piece in pieces:
         live = factors if failed is None else factors[:failed[0]]
-        results, failure = _tanh_sinh(piece, weight, live, shared, work)
+        results, failure = _tanh_sinh(piece, weight, live, shared, work, keep)
         if failure is not None:
             index, exc = failure
             failed = (index, _evaluation_error(description, exc))
-        for i, (value, err) in enumerate(results):
+        for i, (value, err, step) in enumerate(results):
             if not work.isfinite(abs(value)):
                 failed = (i, IntegrabilityError(f"integral of {description} is not finite"))
                 break
             totals[i] += value
             ests[i] += abs(err)
+            steps[i] += step
 
     floor = _error_floor(work, work.dps)
     ceiling = work.mpf(10) ** min(30, p // 2)
@@ -92,7 +104,7 @@ def integrate_expression(tree, interval, context, factors=(None,), *, shared=Non
     for i in range(count if failed is None else failed[0]):
         est = max(ests[i], floor)
         mag = abs(totals[i])
-        if mag > ceiling:
+        if mag > ceiling and steps[i] > target * mag:
             failed = (i, IntegrabilityError(
                 f"integral of {description} appears divergent (magnitude {work.nstr(mag, 5)})"
             ))
@@ -123,80 +135,93 @@ def _evaluation_error(description, exc):
 class _Level:
     """One tanh-sinh level's node data, shared by every entry.
 
-    Per node it holds the weight's argument x, the weight's value there and
-    the change-of-variables scale, and the factors' shared quantity once an
-    entry asks for it (calling the level gives ``shared(x)`` at the current
-    node). They are kept as raw mpf/mpc tuples, not mpf objects: thousands
-    of live mpf objects stay tracked by the garbage collector and make it
-    run full collections, raw tuples of ints do not.
+    Per node it holds the node's quadrature weight times the weight's value
+    and the change-of-variables factor (``scaled[node][0]``), then running
+    products ``scaled[node][k]`` = that times s^k and ``powers[node][j-1]`` =
+    x^j, each extended when an entry first needs it; s = shared(x) is
+    evaluated then, once per node. Everything is kept as raw mpf/mpc tuples,
+    not mpf objects: thousands of live mpf objects stay tracked by the
+    garbage collector and make it run full collections, raw tuples of ints
+    do not. Nodes that round onto a regularized endpoint are left out: the
+    integrand is 0 there and nothing is evaluated.
     """
 
     def __init__(self, work, nodes, point, weight, shared):
         self.work = work
-        self.nodes = nodes
         self.shared = shared
-        self.args, self.values, self.scales = [], [], []
+        self.powers, self.scaled = [], []
         self.failure = None  # what the node map or weight raised at the first node it failed
-        for u, _w in nodes:
+        for u, node_weight in nodes:
             try:
-                x, scale = (u, None) if point is None else point(u)
-                if x is not None:
-                    w_x = weight(x)
+                x, jacobian = (u, None) if point is None else point(u)
+                if x is None:
+                    continue
+                base = weight(x) * node_weight
+                if jacobian is not None:
+                    base *= jacobian
             except _EVAL_ERRORS as exc:
                 self.failure = exc
                 break
-            self.args.append(None if x is None else x._mpf_)
-            self.values.append(None if x is None else _raw(w_x))
-            self.scales.append(None if scale is None else scale._mpf_)
-        self.cache = [None] * len(self.args)
-        self.index = 0
-        self.x = None
+            self.powers.append([x._mpf_])
+            self.scaled.append([_raw(base)])
+        self.shared_values = [None] * len(self.scaled)
 
-    def __call__(self):
-        raw = self.cache[self.index]
-        if raw is None:
-            value = self.shared(self.x)
-            self.cache[self.index] = _raw(value)
-            return value
-        return self._unpack(raw)
-
-    def _unpack(self, raw):
-        return self.work.make_mpc(raw) if len(raw) == 2 else self.work.make_mpf(raw)
-
-    def terms(self, factor, combine):
-        """One entry's (node weight, integrand) pairs, as sum_next hands them to fdot."""
-        make_mpf = self.work.make_mpf
-        rows = zip(self.nodes, self.args, self.values, self.scales)
-        for index, ((_u, w), x, w_x, scale) in enumerate(rows):
-            if x is None:
-                # the node rounded onto a regularized endpoint: the integrand
-                # is 0 there and nothing is evaluated
-                yield w, 0
-                continue
-            x = make_mpf(x)
-            value = self._unpack(w_x)
-            if factor is not None:
-                self.index, self.x = index, x
-                value = value * factor(x, self)
-            if combine is not None:
-                value = combine(value, make_mpf(scale))
-            yield w, value
+    def sum(self, k, j):
+        """The entry's node sum, what sum_next's ``fdot`` gives on this level."""
+        work = self.work
+        prec = work.prec
+        real, imag = [], []
+        for node, (powers, scaled) in enumerate(zip(self.powers, self.scaled)):
+            if len(scaled) <= k:
+                s = self.shared_values[node]
+                if s is None:
+                    s = self.shared_values[node] = _raw(self.shared(work.make_mpf(powers[0])))
+                while len(scaled) <= k:
+                    scaled.append(_mul(scaled[-1], s, prec))
+            value = scaled[k]
+            if j:
+                while len(powers) < j:
+                    powers.append(mpf_mul(powers[-1], powers[0], prec, "n"))
+                value = _mul(value, powers[j - 1], prec)
+            if len(value) == 2:
+                real.append(value[0])
+                imag.append(value[1])
+            else:
+                real.append(value)
+        total = mpf_sum(real, prec, "n")
+        if imag:
+            return work.make_mpc((total, mpf_sum(imag, prec, "n")))
+        return work.make_mpf(total)
 
 
 def _raw(value):
     return value._mpf_ if hasattr(value, "_mpf_") else value._mpc_
 
 
-def _tanh_sinh(piece, weight, factors, shared, work):
-    """quadts' level loop on one finite piece for every factor at once.
+def _mul(a, b, prec):
+    """Product of raw mpf (4-tuple) or mpc (pair) values, rounded to prec bits."""
+    if len(a) == 2:
+        return mpc_mul(a, b, prec, "n") if len(b) == 2 else mpc_mul_mpf(a, b, prec, "n")
+    if len(b) == 2:
+        return mpc_mul_mpf(b, a, prec, "n")
+    return mpf_mul(a, b, prec, "n")
 
-    Returns ([(value, err), ...], failure): one pair for each entry below the
-    failing one, and failure = (index, exception) or None. Entries run in
-    index order on each level, so the first to fail is the one a loop over
-    separate quadts calls would have reached first; a failure of the node
-    map or the weight belongs to the lowest-index entry still active.
+
+def _tanh_sinh(piece, weight, factors, shared, work, keep):
+    """quadts' level loop on one finite piece for every (k, j) entry at once.
+
+    Returns ([(value, err, step), ...], failure): one triple for each entry
+    below the failing one, step being |S_k - S_(k-1)| at its last level k,
+    and failure = (index, exception) or None. An entry stops at mpmath's
+    eps/8 target, or once its estimate is within ``keep`` of |S_k| and its
+    squared step within ``keep`` of |S_k|^2: tanh-sinh roughly doubles the
+    correct digits per level, so S_k then holds -log10(keep) of them.
+    Entries run in index order on each level, so the first to fail is the
+    one a loop over separate quadts calls would have reached first; a
+    failure of the node map or the weight belongs to the lowest-index entry
+    still active.
     """
-    lo, hi, point, combine = piece
+    lo, hi, point = piece
     rule = work._tanh_sinh
     prec = work.prec
     epsilon = work.eps / 8
@@ -213,7 +238,7 @@ def _tanh_sinh(piece, weight, factors, shared, work):
             still = []
             for i in active:
                 try:
-                    new = work.fdot(level.terms(factors[i], combine))
+                    new = level.sum(*factors[i])
                 except _EVAL_ERRORS as exc:
                     failure = (i, exc)
                     break
@@ -226,7 +251,7 @@ def _tanh_sinh(piece, weight, factors, shared, work):
                 results.append(h * S)
                 if degree > 1:
                     errs[i] = rule.estimate_error(results, prec, epsilon)
-                    if errs[i] <= epsilon:
+                    if errs[i] <= epsilon or _holds_digits(results, errs[i], keep):
                         continue
                 still.append(i)
             active = still
@@ -235,7 +260,17 @@ def _tanh_sinh(piece, weight, factors, shared, work):
     finally:
         work.prec = prec
     done = len(factors) if failure is None else failure[0]
-    return [(+levels[i][-1], errs[i]) for i in range(done)], failure
+    out = []
+    for results, err in zip(levels[:done], errs):
+        step = results[-1] - (results[-2] if len(results) > 1 else 0)
+        out.append((+results[-1], err, abs(step)))
+    return out, failure
+
+
+def _holds_digits(results, err, keep):
+    """Whether the last level sum holds -log10(keep) correct digits."""
+    size = abs(results[-1])
+    return err <= keep * size and abs(results[-1] - results[-2]) ** 2 <= keep * size**2
 
 
 def _round_to(value, context):
@@ -246,10 +281,9 @@ def _round_to(value, context):
     return Scalar(mp.mpf(real), context.precision)
 
 
-# A piece is (lo, hi, point, combine): tanh-sinh runs on [lo, hi]; point(u)
-# gives (x, scale) with x the weight's argument, or (None, None) where the
-# integrand is 0; combine(value, scale) applies the change of variables.
-# point None means x = u, combine None means no change of variables.
+# A piece is (lo, hi, point): tanh-sinh runs on [lo, hi]; point(u) gives
+# (x, dx/du) with x the weight's argument, or (None, None) where the
+# integrand is 0. point None means x = u.
 
 
 def _split_pieces(interval, exponents, work):
@@ -295,7 +329,7 @@ def _finite_pieces(a, b, exp_a, exp_b, work):
         return (_finite_pieces(a, mid, exp_a, Fraction(0), work)
                 + _finite_pieces(mid, b, Fraction(0), exp_b, work))
     if not (sing_a or sing_b):
-        return [(a, b, None, None)]
+        return [(a, b, None)]
     m = max(2, (exp_a if sing_a else exp_b).denominator)
     end = a if sing_a else b
 
@@ -305,12 +339,9 @@ def _finite_pieces(a, b, exp_a, exp_b, work):
             # u^m rounded away against the endpoint: the tanh-sinh weight
             # there is below working resolution, so the contribution is negligible
             return None, None
-        return x, u ** (m - 1)
+        return x, m * u ** (m - 1)
 
-    def combine(value, scale):
-        return value * m * scale
-
-    return [(work.mpf(0), work.root(b - a, m), point, combine)]
+    return [(work.mpf(0), work.root(b - a, m), point)]
 
 
 def _semi_infinite(anchor, work, *, negative):
@@ -318,12 +349,9 @@ def _semi_infinite(anchor, work, *, negative):
     def point(t):
         one_minus = 1 - t
         x = anchor - t / one_minus if negative else anchor + t / one_minus
-        return x, one_minus**2
+        return x, 1 / one_minus**2
 
-    def combine(value, scale):
-        return value / scale
-
-    return (work.mpf(0), work.mpf(1), point, combine)
+    return (work.mpf(0), work.mpf(1), point)
 
 
 def _to_mpf(value, work):

@@ -275,7 +275,7 @@ def _f_of_p_moments(P, w, f, kmax, context):
     norm = w.normalization.to_float(context).value
     entries = integrate_expression(
         w.expression(), w.interval, context,
-        [lambda x, s, j=j: s() * x**j if j else s() for j in range(kmax + 1)],
+        [(1, j) for j in range(kmax + 1)],
         shared=f_of_p,
         endpoint_exponents=w.endpoint_exponents,
         target=tolerance(context, 10),

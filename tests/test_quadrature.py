@@ -4,12 +4,15 @@ The reference below integrates each entry on its own, the way the package
 did before the nodes were shared: a tree walk per node, closures for the
 endpoint substitutions, and ``work.quadts(..., error=True, maxdegree=8)``
 per piece. The shared-node integrator runs mpmath's level loop per entry on
-the same nodes, so values and error estimates must be exactly equal.
+the same nodes, stopping once an entry holds the p digits it returns, so
+values and error estimates must be equal at those p digits.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
+import types
 from fractions import Fraction
 
 import pytest
@@ -29,6 +32,7 @@ from orthoieq import (
     parse_weight,
 )
 from orthoieq import expressions as ex
+from orthoieq import quadrature
 from orthoieq.quadrature import integrate_expression, working_context
 
 # ---------------------------------------------------------------------------
@@ -146,7 +150,7 @@ def _round(value, context):
 # equality with the reference
 
 
-PRECISIONS = [50, 70]
+PRECISIONS = [30, 50, 70]
 
 WEIGHTS = [
     ("x^(-1/2)*(1-x)^(-1/3)", Interval(0, 1), 4),  # both endpoints regularized
@@ -168,8 +172,7 @@ def test_moment_entries_equal_per_entry_quadts(text, interval, count, p):
     ctx = PrecisionContext(p)
     w = parse_weight(text, interval)
     tree = w.expression()
-    got = integrate_expression(tree, interval, ctx,
-                               [None] + [lambda x, s, n=n: x**n for n in range(1, count)],
+    got = integrate_expression(tree, interval, ctx, [(0, n) for n in range(count)],
                                endpoint_exponents=w.endpoint_exponents)
     want = reference_entries(tree, interval, ctx,
                              [None] + [lambda x, n=n: x**n for n in range(1, count)],
@@ -219,6 +222,45 @@ def test_arbitrary_f_values_equal_per_entry_quadts(p):
     report = check_arbitrary_f(P, f, w, 2, context=ctx)
     assert [v.value for v in report.values] == [raw.value / w.normalization.value
                                                 for raw, _ in want]
+
+
+# ---------------------------------------------------------------------------
+# stopping: at the digits the result keeps, not at the working precision
+
+
+def test_entries_stop_once_they_hold_the_returned_digits(ctx50, monkeypatch):
+    # every entry holds p+10 digits at level 7 (1311 nodes on the half line);
+    # running on to mpmath's eps/8 target would take level 8, 2623 nodes
+    w = normalize(parse_weight("exp(-x)*(1+x)", Interval(0, "inf")), ctx50)
+    nodes = 0
+
+    def counting_compile(tree, mp):
+        weight = ex.compile_float(tree, mp)
+
+        def counted(x):
+            nonlocal nodes
+            nodes += 1
+            return weight(x)
+
+        return counted
+
+    monkeypatch.setattr(quadrature, "ex",
+                        types.SimpleNamespace(**{**vars(ex), "compile_float": counting_compile}))
+    m = moments(w, 9, context=ctx50)
+    assert 0 < nodes <= 1311
+    for n in range(9):  # m_n = n! (n+2) / 2
+        assert abs(m[n].value - ctx50.mp.mpf(math.factorial(n) * (n + 2)) / 2) \
+            <= m.error_estimates[n].value
+
+
+def test_large_convergent_moment_is_not_called_divergent(ctx50):
+    # the raw integral 24! * 26 ~ 1.6e25 is above the 10^25 size ceiling at
+    # p = 50, but its last level step is far below the target
+    w = normalize(parse_weight("exp(-x)*(1+x)", Interval(0, "inf")), ctx50)
+    m = moments(w, 25, context=ctx50)
+    exact = Fraction(math.factorial(24) * 26, 2)  # m_n = n! (n+2) / 2 = 24! * 13
+    value = ctx50.mp.mpf(exact.numerator) / exact.denominator
+    assert abs(m[24].value - value) <= m.error_estimates[24].value
 
 
 # ---------------------------------------------------------------------------

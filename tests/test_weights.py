@@ -172,7 +172,7 @@ class TestClosedFormsMatchSympy:
         norm = Scalar.exact(SYMPY_DIVISOR[name](w.body)).to_float(ctx50).value
         raw = integrate_expression(
             w.expression(), w.interval, ctx50,
-            [None] + [lambda x, s, n=n: x**n for n in range(1, 9)],
+            [(0, n) for n in range(9)],
             endpoint_exponents=w.endpoint_exponents, target=tolerance(ctx50, 10),
         )
         assert [v.value for v in got.values] == [r.value / norm for r, _err in raw]
