@@ -28,9 +28,9 @@ from .errors import (
     WeightSyntaxError,
 )
 from .hankel import hankel_condition, normalization, solve_polynomial
-from .moments import contour_moments, generalized_moments, moments
+from .moments import moments
 from .numeric import DEFAULT_PRECISION, PrecisionContext, Scalar
-from .polynomials import Polynomial, inner_moment, shifted_inner
+from .polynomials import Polynomial, inner_moment
 from .variants import (
     Additive,
     Functional,
@@ -44,6 +44,8 @@ from .variants import (
     solve_multiplicative,
     verify,
     _abs_scalar,
+    _kernel_moments,
+    _plain_moments,
     _verdict,
 )
 from .weights import Interval, contour_weight, normalize, parse_weight, preset_weight
@@ -435,31 +437,20 @@ def _form_from_args(args, degree):
 def _verification_summary(P, w, form, args, context, seq):
     if w.is_contour:
         # pointwise substitution is undefined on a contour; check the linear
-        # conditions of the form in force instead
+        # conditions of the form in force instead: <g^k P> = delta_(k,0) for
+        # P(x + g(y)), and <x^k P> = 1 on a multiplicative support
         n = P.degree
-        if isinstance(form, Functional):
-            rows = generalized_moments(w, form.f, n, n, context=context)  # <f^k x^j>
-        else:
-            m = seq if seq is not None and len(seq) >= 2 * n + 1 else contour_moments(
-                w.body.winding, 2 * n + 1, mode=args.mode, context=context
-            )
         one = Scalar.exact(1)
-        deviations = []
-        for k in range(n + 1):
-            if isinstance(form, Multiplicative):
-                in_support = k in form.pattern or k == n
-                dev = inner_moment(P, k, m) - one if in_support else P.coefficient(k)
-            else:
-                if isinstance(form, LinearShift):
-                    v = shifted_inner(P, k, form.a, form.b, m)
-                elif isinstance(form, Functional):
-                    v = inner_moment(P, 0, rows[k])
-                else:
-                    v = inner_moment(P, k, m)
-                dev = v - one if k == 0 else v
-            deviations.append(_abs_scalar(dev, context))
+        if isinstance(form, Multiplicative):
+            m = _plain_moments(w, 2 * n + 1, args.mode, context, seq)
+            deviations = [inner_moment(P, k, m) - one if k in form.pattern or k == n
+                          else P.coefficient(k) for k in range(n + 1)]
+        else:
+            s, _ = _kernel_moments(P, w, form, args.mode, context, seq)
+            deviations = [v - one if k == 0 else v for k, v in enumerate(s)]
         name = "moment-conditions"
-        worst, ok = _verdict(deviations, Scalar.exact(0), context)
+        worst, ok = _verdict([_abs_scalar(d, context) for d in deviations],
+                             Scalar.exact(0), context)
     else:
         report = verify(
             P, w, form, mode=args.mode, context=context, seed=args.seed, moment_seq=seq
@@ -511,10 +502,20 @@ def cmd_verify(args, context) -> int:
     return EXIT_OK if report.passed else EXIT_VERIFY
 
 
+def _interval_values(argv):
+    """argparse reads a bare -inf or -oo as an option flag; a leading space
+    keeps each --interval value a value (Interval strips it)."""
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for i, token in enumerate(argv):
+        if token == "--interval":
+            argv[i + 1:i + 3] = [f" {t}" if t in ("-inf", "-oo") else t for t in argv[i + 1:i + 3]]
+    return argv
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_interval_values(argv))
     except SystemExit as exc:
         return int(exc.code) if exc.code else EXIT_OK
     try:

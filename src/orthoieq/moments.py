@@ -20,6 +20,7 @@ from .errors import (
     QuadratureError,
 )
 from .numeric import PrecisionContext, Scalar, mp_context, scalar_eq, tolerance
+from .polynomials import power_table
 from .quadrature import _EVAL_ERRORS, integrate_expression, working_context
 from .weights import Contour, Weight
 
@@ -149,9 +150,9 @@ def generalized_moments(w: Weight, f, kmax: int, jmax: int, *,
     """Matrix M[k][j] = <f(x)^k x^j> for k <= kmax, j <= jmax.
 
     Polynomial f (including the identity) contracts exactly against plain
-    moments; anything else is integrated numerically, every entry on one
-    tanh-sinh node set. Raises ConstantFunctionError when f is constant on
-    the interval.
+    moments through polynomials.power_table; anything else is integrated
+    numerically, every entry on one tanh-sinh node set. Raises
+    ConstantFunctionError when f is constant on the interval.
     """
     if isinstance(f, str):
         f = ex.parse_expression(f)
@@ -166,7 +167,7 @@ def generalized_moments(w: Weight, f, kmax: int, jmax: int, *,
         if plain is None or len(plain) < need:
             plain = moments(w, need, mode="exact" if w.is_preset or w.is_contour else "float",
                             context=context)
-        return _polynomial_generalized(poly, kmax, jmax, plain)
+        return power_table(poly, kmax, plain, jmax + 1)
 
     _reject_constant_f(f, w, context)
     width = jmax + 1
@@ -188,32 +189,6 @@ def generalized_moments(w: Weight, f, kmax: int, jmax: int, *,
     )
     values = [Scalar(raw.value / norm, context.precision) for raw, _err in entries]
     return [values[k * width:(k + 1) * width] for k in range(kmax + 1)]
-
-
-def _polynomial_generalized(poly, kmax, jmax, plain: MomentSequence):
-    rows = []
-    powers = [[Fraction(1)]]  # coefficients of f^k
-    for _ in range(kmax):
-        prev = powers[-1]
-        nxt = [Fraction(0)] * (len(prev) + len(poly) - 1)
-        for i, a in enumerate(prev):
-            if a == 0:
-                continue
-            for j, b in enumerate(poly):
-                nxt[i + j] += a * b
-        powers.append(nxt)
-    for k in range(kmax + 1):
-        row = []
-        for j in range(jmax + 1):
-            acc = None
-            for i, coeff in enumerate(powers[k]):
-                if coeff == 0:
-                    continue
-                term = Scalar.exact(coeff) * plain[i + j]
-                acc = term if acc is None else acc + term
-            row.append(acc if acc is not None else Scalar.exact(0) * plain[0])
-        rows.append(row)
-    return rows
 
 
 def _reject_constant_f(f, w, context):

@@ -7,7 +7,9 @@ checks see moment error only.
 
 from __future__ import annotations
 
+from functools import reduce
 from math import comb
+from operator import add
 
 from .errors import DegenerateDegreeError, InsufficientMomentsError
 from .numeric import Scalar
@@ -102,11 +104,7 @@ def inner_moment(P: Polynomial, k: int, m) -> Scalar:
             f"<x^{k} P> with deg P = {P.degree} needs m_0..m_{P.degree + k}, "
             f"got {len(m)} moments"
         )
-    acc = None
-    for j, a in enumerate(P.coeffs):
-        term = a * m[k + j]
-        acc = term if acc is None else acc + term
-    return acc
+    return reduce(add, (a * m[k + j] for j, a in enumerate(P.coeffs)))
 
 
 def orthogonality(Pn: Polynomial, Pm: Polynomial, m) -> Scalar:
@@ -119,38 +117,55 @@ def orthogonality(Pn: Polynomial, Pm: Polynomial, m) -> Scalar:
 
 
 def shifted_inner(P: Polynomial, k: int, a, b, m) -> Scalar:
-    """<(a+bx)^k P>, by binomial expansion of the shift and moment contraction."""
-    a, b = _scalar(a), _scalar(b)
+    """<(a+bx)^k P>: the k-th moment of argument_moments for g = a + b x."""
     if len(m) < P.degree + k + 1:
         raise InsufficientMomentsError(
             f"<(a+bx)^{k} P> with deg P = {P.degree} needs m_0..m_{P.degree + k}, "
             f"got {len(m)} moments"
         )
-    return _binomial_shift([inner_moment(P, i, m) for i in range(k + 1)], k, a, b)
+    return argument_moments(P, [a, b], k, m)[k]
 
 
-def _binomial_shift(mu, k: int, a: Scalar, b: Scalar) -> Scalar:
-    """sum_i C(k,i) a^(k-i) b^i mu_i, i.e. <(a+bx)^k P> from mu_i = <x^i P>."""
-    acc = None
-    for i in range(k + 1):
-        coeff = Scalar.exact(comb(k, i)) * a ** (k - i) * b**i
-        term = coeff * mu[i]
-        acc = term if acc is None else acc + term
-    return acc
+def power_table(g, kmax: int, seq, width: int):
+    """rows[k][j] = sum_t c_(k,t) seq[t+j] for k <= kmax, j < width, c_(k,t)
+    being the x^t coefficient of g(x)^k.
+
+    g lists the ascending coefficients of a nonconstant polynomial, as
+    Fractions or Scalars (an exact complex shift works). Against plain
+    moments the rows are <g^k x^j>; against mu_t = <x^t P> they are
+    s_k = <g^k P>. Each power of g is formed once; each entry sums its
+    nonzero terms in ascending t.
+    """
+    g = Polynomial(g)
+    power = Polynomial([_ONE])
+    rows = []
+    for k in range(kmax + 1):
+        if k:
+            power = power * g
+        terms = [(t, c) for t, c in enumerate(power.coeffs) if not c.is_zero()]
+        rows.append([reduce(add, (c * seq[t + j] for t, c in terms)) for j in range(width)])
+    return rows
+
+
+def argument_moments(P: Polynomial, g, kmax: int, m) -> list:
+    """s_k = <g^k P> for k = 0..kmax: power_table against mu_t = <x^t P>.
+
+    Needs moments up to deg(P) + deg(g) kmax.
+    """
+    mu = [inner_moment(P, t, m) for t in range((len(g) - 1) * kmax + 1)]
+    return [row[0] for row in power_table(g, kmax, mu, 1)]
 
 
 def integral_image(P: Polynomial, m, a=0, b=1) -> Polynomial:
     """The right side of the shifted integral equation, as a polynomial in x.
 
     integral of w(y) P(y) P(x + a + b y) dy has x^i coefficient
-    sum_{k>=i} a_k C(k,i) s_(k-i) with s_r = <(a+by)^r P(y)>, a finite
-    moment sum; the additive equation is the a=0, b=1 case. Each
-    mu_t = <y^t P> and each s_r is formed once: O(n^2) scalar operations.
+    sum_{k>=i} a_k C(k,i) s_(k-i) with s_r = <(a+by)^r P(y)>, the
+    argument_moments of g = a + b y; the additive equation is the a=0,
+    b=1 case. Each mu_t = <y^t P> and each s_r is formed once: O(n^2)
+    scalar operations.
     """
-    a, b = _scalar(a), _scalar(b)
-    n = P.degree
-    mu = [inner_moment(P, t, m) for t in range(n + 1)]
-    return binomial_image(P, [_binomial_shift(mu, r, a, b) for r in range(n + 1)])
+    return binomial_image(P, argument_moments(P, [a, b], P.degree, m))
 
 
 def binomial_image(P: Polynomial, s) -> Polynomial:
@@ -162,13 +177,8 @@ def binomial_image(P: Polynomial, s) -> Polynomial:
     of w(y) f[P(y)] P(x + y) dy. The leading coefficient may vanish.
     """
     n = P.degree
-    coeffs = []
-    for i in range(n + 1):
-        acc = None
-        for k in range(i, n + 1):
-            term = P.coeffs[k] * Scalar.exact(comb(k, i)) * s[k - i]
-            acc = term if acc is None else acc + term
-        coeffs.append(acc)
+    coeffs = [reduce(add, (P.coeffs[k] * Scalar.exact(comb(k, i)) * s[k - i]
+                           for k in range(i, n + 1))) for i in range(n + 1)]
     return Polynomial(coeffs, allow_zero_leading=True)
 
 
@@ -177,6 +187,3 @@ def multiplicative_image(P: Polynomial, m) -> Polynomial:
     coeffs = [P.coeffs[k] * inner_moment(P, k, m) for k in range(P.degree + 1)]
     return Polynomial(coeffs, allow_zero_leading=True)
 
-
-def _scalar(value) -> Scalar:
-    return value if isinstance(value, Scalar) else Scalar.exact(value)

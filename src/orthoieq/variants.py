@@ -8,15 +8,17 @@ Forms (kernel inside integral of w(y) P(y) ...):
     Functional(f)       P(x + f(y)), f nonconstant
     ArbitraryF(f)       f[P(y)] P(x + y)  (verification only; no solver)
 
-Each solvable form reduces to linear conditions on the coefficients:
-Additive, LinearShift and Functional solve <g(x)^k P> = delta_(k,0),
-k = 0..n, for g(x) = x, a + b x, f(x) (hankel.solve_e0); Multiplicative
-solves <x^k P> = 1 on its support. The right side of every kernel
-P(x + g(y)), and of f[P(y)] P(x + y), is one binomial image
-(polynomials.binomial_image); Multiplicative's is multiplicative_image.
-One verdict rule (_verdict) judges the residuals of every form: exact
-moments give exact residuals, generalized moments and f[P(y)] carry a
-quadrature bound.
+Additive, LinearShift and Functional are one kernel, P(x + g(y)) with
+g(y) = y, a + b y or f(y). Each reduces to the linear conditions
+<g^k P> = delta_(k,0), k = 0..n (hankel.solve_e0), and its right side is
+the binomial image of s_r = <g(y)^r P(y)> (_kernel_moments). For a
+polynomial g, one contraction (polynomials.power_table) expands the
+powers of g against the plain moments, for the solver's table and for
+s_r alike; any other f integrates the table <f^k x^j>. ArbitraryF's
+right side is the binomial image of <y^r f[P(y)]>; Multiplicative solves
+<x^k P> = 1 on its support and has its own image. One verdict rule
+(_verdict) judges the residuals of every form: exact moments give exact
+residuals, integrated tables and f[P(y)] carry a quadrature bound.
 """
 
 from __future__ import annotations
@@ -38,11 +40,11 @@ from .moments import MomentSequence, generalized_moments, moments
 from .numeric import PrecisionContext, Scalar, scalar_eq, tolerance
 from .polynomials import (
     Polynomial,
-    _binomial_shift,
+    argument_moments,
     binomial_image,
     inner_moment,
-    integral_image,
     multiplicative_image,
+    power_table,
 )
 from .quadrature import integrate_expression, working_context
 from .weights import Weight
@@ -173,23 +175,15 @@ def verify(P: Polynomial, w: Weight, form, samples=None, *, mode: str = "float",
     if samples is None:
         samples = default_samples(w.interval, seed=seed, mode=mode, context=context)
     n = P.degree
-    qbound = Scalar.exact(0)
-    complex_shift = False
-
-    if isinstance(form, Additive):
-        m = _plain_moments(w, 2 * n + 1, mode, context, moment_seq)
-        rhs = integral_image(P, m)
-    elif isinstance(form, LinearShift):
-        complex_shift = form.complex_shift
-        m = _plain_moments(w, 2 * n + 1, mode, context, moment_seq)
-        rhs = integral_image(P, m, form.a, form.b)
+    if isinstance(form, (Additive, LinearShift, Functional)):
+        s, qbound = _kernel_moments(P, w, form, mode, context, moment_seq)
+        rhs = binomial_image(P, s)
     elif isinstance(form, Multiplicative):
-        m = _plain_moments(w, 2 * n + 1, mode, context, moment_seq)
-        rhs = multiplicative_image(P, m)
-    elif isinstance(form, Functional):
-        rhs, qbound = _functional_image(P, w, form.f, context)
+        qbound = Scalar.exact(0)
+        rhs = multiplicative_image(P, _plain_moments(w, 2 * n + 1, mode, context, moment_seq))
     elif isinstance(form, ArbitraryF):
-        rhs, qbound = _arbitrary_f_image(P, w, form.f, context)
+        qbound = _quadrature_bound(context)
+        rhs = binomial_image(P, _f_of_p_moments(P, w, form.f, n, context))
     else:
         raise ConfigurationError(f"unknown equation form {form!r}")
 
@@ -204,7 +198,7 @@ def verify(P: Polynomial, w: Weight, form, samples=None, *, mode: str = "float",
         max_residual=max_residual,
         quadrature_error_bound=qbound,
         passed=passed,
-        complex_shift=complex_shift,
+        complex_shift=isinstance(form, LinearShift) and form.complex_shift,
     )
 
 
@@ -240,20 +234,31 @@ def _verdict(deviations, qbound, context, scales=lambda: ()):
     return worst, worst.value <= threshold
 
 
-def _functional_image(P, w, f, context):
+def _kernel_moments(P, w, form, mode, context, moment_seq):
+    """s_r = <g(y)^r P(y)>, r = 0..deg P, for the kernel P(x + g(y)) of an
+    Additive, LinearShift or Functional form, with the quadrature bound s carries.
+
+    A polynomial g contracts exactly in the plain moments (zero bound);
+    any other f contracts P against the integrated <f^r y^j> table.
+    """
     n = P.degree
-    gen = generalized_moments(w, f, n, n, context=context)
-    rhs = binomial_image(P, [inner_moment(P, 0, row) for row in gen])  # <f(y)^d P(y)>
-    # polynomial-f contractions are exact in the moments; quadrature entries
-    # carry the 10^(10-p) target as their bound
-    if all(entry.is_exact for row in gen for entry in row):
-        return rhs, Scalar.exact(0)
-    return rhs, _quadrature_bound(context)
+    g = _polynomial_argument(form)
+    if g is None:
+        rows = generalized_moments(w, form.f, n, n, context=context)
+        return [inner_moment(P, 0, row) for row in rows], _quadrature_bound(context)
+    m = _plain_moments(w, len(g) * n + 1, mode, context, moment_seq)
+    return argument_moments(P, g, n, m), Scalar.exact(0)
 
 
-def _arbitrary_f_image(P, w, f, context):
-    rhs = binomial_image(P, _f_of_p_moments(P, w, f, P.degree, context))
-    return rhs, _quadrature_bound(context)
+def _polynomial_argument(form):
+    """Ascending coefficients of g in P(x + g(y)), or None when g is an f
+    that is not a nonconstant polynomial (generalized_moments rejects a constant)."""
+    if isinstance(form, Additive):
+        return [0, 1]
+    if isinstance(form, LinearShift):
+        return [form.a, form.b]
+    poly = ex.as_polynomial(form.f)
+    return poly if poly is not None and len(poly) > 1 else None
 
 
 def _quadrature_bound(context):
@@ -405,10 +410,9 @@ def solve_linear_shift(m, n: int, a, b, *, context: PrecisionContext | None = No
         raise InsufficientMomentsError(
             f"degree {n} needs m_0..m_{2 * n}, got {len(m)} moments"
         )
-    matrix = [[_binomial_shift([m[i + j] for i in range(k + 1)], k, a, b)
-               for j in range(n + 1)] for k in range(n + 1)]
     return solve_e0(
-        matrix, f"leading coefficient vanished for shift (a={a}, b={b}) at degree {n}"
+        power_table([a, b], n, m, n + 1),
+        f"leading coefficient vanished for shift (a={a}, b={b}) at degree {n}",
     )
 
 
@@ -418,17 +422,22 @@ def solve_linear_shift(m, n: int, a, b, *, context: PrecisionContext | None = No
 
 def solve_functional(w: Weight, f, n: int, *, context: PrecisionContext | None = None,
                      mode: str = "float") -> Polynomial:
-    """Solve <f(x)^k P> = delta_(k,0) for k = 0..n via generalized moments."""
+    """Solve <f(x)^k P> = delta_(k,0) for k = 0..n via generalized moments.
+
+    A polynomial f contracts the plain moments of the given mode.
+    """
     if isinstance(f, str):
         f = ex.parse_expression(f)
     context = context or PrecisionContext()
     if ex.is_identity(f):
         m = moments(w, 2 * n + 1, mode=mode, context=context)
         return solve_polynomial(m, n, context=context)
-    return solve_e0(
-        generalized_moments(w, f, n, n, context=context),
-        f"leading coefficient vanished for functional argument at degree {n}",
-    )
+    g = _polynomial_argument(Functional(f))
+    if g is None:
+        table = generalized_moments(w, f, n, n, context=context)
+    else:
+        table = power_table(g, n, moments(w, len(g) * n + 1, mode=mode, context=context), n + 1)
+    return solve_e0(table, f"leading coefficient vanished for functional argument at degree {n}")
 
 
 def check_functional_orthogonality(Pn: Polynomial, Pm: Polynomial, w: Weight, f, *,

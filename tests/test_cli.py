@@ -73,6 +73,16 @@ class TestMomentsCommand:
         for got, want in zip(record["moments"], (1, 1, 2)):
             assert abs(mpmath.mpf(got["re"]) - want) < mpmath.mpf(10) ** -40
 
+    @pytest.mark.parametrize("lower", ["-inf", "-oo"])
+    def test_bare_negative_infinity_endpoint(self, capsys, lower):
+        # argparse would read a bare -inf as an option; it must match the spaced form
+        bare = run_cli(capsys, "moments", "--expr", "exp(x)", "--interval", lower, "0",
+                       "--count", "3")
+        spaced = run_cli(capsys, "moments", "--expr", "exp(x)", "--interval", " -inf", "0",
+                         "--count", "3")
+        assert bare[0] == 0
+        assert bare == spaced
+
 
 class TestPolyCommand:
     def test_laguerre_degree_one(self, capsys):

@@ -283,12 +283,21 @@ class TestFunctional:
     def test_x_squared_on_exponential(self):
         # hand solve: a + b = 1, 2a + 6b = 0 gives (3/2, -1/2)
         w = preset_weight("laguerre", gamma=1)
-        P = solve_functional(w, "x^2", 1)
+        P = solve_functional(w, "x^2", 1, mode="exact")
         assert [c.as_fraction() for c in P.coeffs] == [Fraction(3, 2), Fraction(-1, 2)]
+
+    def test_x_squared_float_solve_stays_float(self, ctx50):
+        # the polynomial-f table is built from moments of the requested mode
+        w = preset_weight("laguerre", gamma=1)
+        P = solve_functional(w, "x^2", 1, context=ctx50)
+        mp = ctx50.mp
+        assert all(c.precision == 50 for c in P.coeffs)
+        assert abs(P.coeffs[0].value - mp.mpf(3) / 2) < mp.mpf(10) ** -45
+        assert abs(P.coeffs[1].value + mp.mpf(1) / 2) < mp.mpf(10) ** -45
 
     def test_degree_zero(self):
         w = preset_weight("laguerre", gamma=1)
-        assert solve_functional(w, "x^2", 0) == Polynomial([1])
+        assert solve_functional(w, "x^2", 0, mode="exact") == Polynomial([1])
 
     def test_contour_solve_stays_exact(self):
         # m_1 = 2/(i pi), m_3 = 2/(3 i pi), m_4 = 0: a_0 + a_1 m_1 = 1 and
@@ -309,7 +318,7 @@ class TestFunctional:
 
     def test_verify_functional_polynomial_f(self, ctx50):
         w = preset_weight("laguerre", gamma=1)
-        P = solve_functional(w, "x^2", 1)
+        P = solve_functional(w, "x^2", 1, mode="exact")
         report = verify(P, w, Functional("x^2"), mode="exact")
         assert report.passed and report.max_residual.is_zero()
 
@@ -472,6 +481,32 @@ class TestShiftMatrixAgainstNestedLoop:
                     assert [c.value for c in got] == [c.value for c in want]
 
 
+class TestShiftIsFunctionalOfLinearF:
+    """P(x + a + b y) is the functional form with f = a + b x: same solve, same residuals."""
+
+    SHIFTS = [(1, -1), (Fraction(3, 2), 2), (Fraction(-1, 3), Fraction(1, 2))]
+    WEIGHTS = [("laguerre", {"gamma": 1}), ("jacobi-add", {"p": 3, "q": 2})]
+
+    @pytest.mark.parametrize("name,params", WEIGHTS)
+    @pytest.mark.parametrize("a,b", SHIFTS)
+    def test_solve_and_verify_agree(self, name, params, a, b):
+        w = preset_weight(name, **params)
+        m = moments(w, 17, mode="exact")
+        f = f"({a}) + ({b})*x"
+        shift = LinearShift(Scalar.exact(a), Scalar.exact(b))
+        for n in range(9):
+            try:
+                P = solve_linear_shift(m, n, a, b)
+            except DegenerateDegreeError:
+                with pytest.raises(DegenerateDegreeError):
+                    solve_functional(w, f, n, mode="exact")
+                continue
+            assert solve_functional(w, f, n, mode="exact") == P
+            by_shift = verify(P, w, shift, mode="exact")
+            by_functional = verify(P, w, Functional(f), mode="exact")
+            assert by_shift.residuals == by_functional.residuals
+
+
 def nested_functional_image(P, gen):
     """Reference route: every (i, k) pair re-contracts <f(y)^(k-i) P(y)>, O(n^3)."""
     n = P.degree
@@ -496,7 +531,8 @@ class TestFunctionalImageAgainstNestedRoute:
         w = preset_weight("laguerre", gamma=1)
         for n in degrees:
             P = solve_functional(w, f, n, mode=mode, context=ctx50)
-            image, _ = variants._functional_image(P, w, f, ctx50)
+            s, _ = variants._kernel_moments(P, w, Functional(f), mode, ctx50, None)
+            image = variants.binomial_image(P, s)
             gen = generalized_moments(w, f, n, n, context=ctx50)
             assert [c.value for c in image.coeffs] == [
                 c.value for c in nested_functional_image(P, gen)
