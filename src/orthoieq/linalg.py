@@ -4,7 +4,7 @@ Solves use Gaussian elimination: exact systems take the first nonzero
 pivot (exact arithmetic gains nothing from magnitude pivoting), float
 systems pivot fully at working precision.
 Determinants use partially pivoted LU elimination in both modes; exact
-entries (Fraction or sympy) keep every quotient exact, so the result is
+entries (Fraction or IPiFraction) keep every quotient exact, so the result is
 the exact determinant.
 """
 

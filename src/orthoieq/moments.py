@@ -1,9 +1,8 @@
 """Moments m_n = <x^n> of a weight, and generalized moments <f(x)^k x^j>.
 
-Presets and contours have closed forms (exact rationals, or Gaussian
-rationals over pi for contours, which alone import sympy, and only in
-exact mode). Expression weights are integrated numerically with
-per-entry error estimates.
+Presets and contours have closed forms (exact rationals for presets,
+rationals over i pi for contours). Expression weights are integrated
+numerically with per-entry error estimates.
 """
 
 from __future__ import annotations
@@ -97,7 +96,7 @@ def moments(w: Weight, count: int, *, mode: str = "float",
 
 
 def _quadrature_moments(w: Weight, count: int, context: PrecisionContext) -> MomentSequence:
-    norm = w.normalization.to_float(context).value
+    norm = w.divisor(context)
     entries = integrate_expression(
         w.expression(), w.interval, context,
         [(0, n) for n in range(count)],
@@ -122,14 +121,13 @@ def contour_moments(winding: int, count: int, *, mode: str = "float",
     """
     if count < 1:
         raise ConfigurationError("count must be at least 1 (m_0)")
-    Contour(winding)  # validates winding >= 0
+    contour = Contour(winding)  # validates winding >= 0
     context = context or PrecisionContext()
     if mode == "exact":
-        import sympy as sp
-
-        c = sp.I * sp.pi * (2 * winding + 1)
+        c = contour.constant()
         values = (Scalar.exact(1),) + tuple(
-            Scalar.exact(sp.expand((1 - (-1) ** n) / (n * c))) for n in range(1, count)
+            Scalar.exact(Fraction(2, n)) / c if n % 2 else Scalar.exact(0)
+            for n in range(1, count)
         )
     elif mode == "float":
         # odd m_n = -2i / (n (2k+1) pi), formed at p+10 digits and rounded once to p
@@ -178,7 +176,7 @@ def generalized_moments(w: Weight, f, kmax: int, jmax: int, *,
             f"generalized moment <f^{k} x^{j}> of {w.weight_id}: {exc}", worst_index=(k, j)
         )
 
-    norm = w.normalization.to_float(context).value
+    norm = w.divisor(context)
     entries = integrate_expression(
         w.expression(), w.interval, context,
         [(k, j) for k in range(kmax + 1) for j in range(width)],

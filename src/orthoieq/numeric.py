@@ -2,11 +2,10 @@
 
 Every quantity in the engine is a :class:`Scalar`, which is either
 
-* Exact: a ``fractions.Fraction`` whenever the value is rational, and a
-  sympy number only for the values that need it (contour moments with
-  ``I``/``pi`` factors such as ``-2*I/pi``, or irrational normalization
-  constants), with error-free arithmetic. A sympy result that turns out
-  rational is stored as a Fraction again, or
+* Exact: a ``fractions.Fraction`` whenever the value is rational, and an
+  :class:`IPiFraction` otherwise, a rational function of i pi with
+  rational coefficients (contour moments such as ``-2i/pi`` and whatever
+  they produce), with error-free arithmetic, or
 * Float(p): an mpmath complex number carrying exactly p decimal digits
   of working precision.
 
@@ -14,17 +13,13 @@ Exact and Float(p) values may be mixed (the exact side is converted to
 p digits first), two Float values of different precision may not.
 Converting Float back to Exact is forbidden so approximate values can
 never masquerade as exact ones.
-
-sympy is imported only where such a value is made or used: contour
-weights and the irrational normalization constants of the presets. Runs
-with rational values alone never load it; a sympy value cannot exist
-before sympy is loaded, so type tests look it up in ``sys.modules``.
 """
 
 from __future__ import annotations
 
-import sys
 from fractions import Fraction
+from functools import reduce
+from operator import mul
 
 from mpmath.ctx_mp import MPContext
 
@@ -99,33 +94,156 @@ def _fraction_mpf(mp, value: Fraction):
     return mp.mpf(value.numerator) / value.denominator
 
 
-def _canon_exact(value):
-    # Rationals are stored as Fraction. Other exact results (pi / I mixes) are
-    # expanded so that zero sums collapse, which may leave a rational again.
-    if isinstance(value, Fraction):
-        return value
-    if not value.is_Rational:
-        import sympy as sp
+class IPiFraction:
+    """An exact non-rational value of Q(i pi): num(t) / den(t) with t = i pi.
 
-        value = sp.expand(value)
-        if not value.is_Rational:
-            return value
-    return Fraction(int(value.p), int(value.q))
+    num and den are sparse polynomials {power: Fraction}, in lowest terms
+    with den monic. Since pi is transcendental, t acts as an indeterminate:
+    the value is zero exactly when num is, and equal values have equal
+    parts. Arithmetic returns a Fraction whenever the result is rational.
+    """
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num, den):
+        self.num, self.den = num, den
+
+    def __add__(self, other):
+        num, den = _parts_of(other)
+        if den == self.den:
+            return _reduced(_poly_add(self.num, num), den)
+        return _reduced(_poly_add(_poly_mul(self.num, den), _poly_mul(num, self.den)),
+                        _poly_mul(self.den, den))
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        num, den = _parts_of(other)
+        return _reduced(_poly_mul(self.num, num), _poly_mul(self.den, den))
+
+    def __truediv__(self, other):
+        num, den = _parts_of(other)
+        return _reduced(_poly_mul(self.num, den), _poly_mul(self.den, num))
+
+    def __rtruediv__(self, other):
+        num, den = _parts_of(other)
+        return _reduced(_poly_mul(num, self.den), _poly_mul(den, self.num))
+
+    __radd__, __rmul__ = __add__, __mul__
+
+    def __neg__(self):
+        return IPiFraction({k: -c for k, c in self.num.items()}, self.den)
+
+    def __pow__(self, exponent):
+        return reduce(mul, [self] * exponent, Fraction(1))
+
+    def __eq__(self, other):
+        return isinstance(other, IPiFraction) and (self.num, self.den) == (other.num, other.den)
+
+    def __str__(self):
+        if self.den == {0: 1}:
+            return _poly_str(self.num)
+        return f"({_poly_str(self.num)})/({_poly_str(self.den)})"
+
+    __repr__ = __str__
+
+    def parts(self, digits: int):
+        """Real and imaginary parts as mpf values correct to `digits` digits.
+
+        num(t)/den(t) = num(t) den(-t) / (den(t) den(-t)), whose denominator
+        is even in t, hence real; the even and odd powers of the numerator
+        give the two parts. A part that is exactly zero is returned as 0.
+        """
+        mirror = {k: -c if k % 2 else c for k, c in self.den.items()}
+        num, den = _poly_mul(self.num, mirror), _at_pi(_poly_mul(self.den, mirror), digits + 5)
+        halves = ({k: c for k, c in num.items() if k % 2 == odd} for odd in (0, 1))
+        mp = mp_context(digits)
+        return tuple(mp.fdiv(_at_pi(h, digits + 5), den) if h else mp.mpf(0) for h in halves)
 
 
-def _sympy_value(value):
-    """An exact value as a sympy number, for arithmetic with a non-rational operand."""
-    if isinstance(value, Fraction):
-        import sympy as sp
-
-        return sp.Rational(value.numerator, value.denominator)
-    return value
+def _parts_of(value):
+    """(num, den) polynomials of a Fraction or an IPiFraction."""
+    if isinstance(value, IPiFraction):
+        return value.num, value.den
+    return ({0: value} if value else {}), {0: Fraction(1)}
 
 
-def _is_sympy_number(value) -> bool:
-    """Whether value is a sympy expression (sympy is never imported to answer)."""
-    sp = sys.modules.get("sympy")
-    return sp is not None and isinstance(value, sp.Expr)
+def _poly_add(p, q):
+    out = dict(p)
+    for k, c in q.items():
+        c += out.get(k, 0)
+        if c:
+            out[k] = c
+        else:
+            del out[k]
+    return out
+
+
+def _poly_mul(p, q):
+    if len(p) < len(q):
+        p, q = q, p
+    if len(q) == 1:  # a term c t^k, often 1: a shift and a scale, nothing cancels
+        [(j, b)] = q.items()
+        return p if (j, b) == (0, 1) else {i + j: a * b for i, a in p.items()}
+    out = {}
+    for i, a in p.items():
+        for j, b in q.items():
+            out[i + j] = out.get(i + j, 0) + a * b
+    return {k: c for k, c in out.items() if c}
+
+
+def _poly_divmod(p, q):
+    quot, rem = {}, dict(p)
+    while rem and max(rem) >= max(q):
+        shift, c = max(rem) - max(q), rem[max(rem)] / q[max(q)]
+        quot[shift] = c
+        rem = _poly_add(rem, {k + shift: -c * b for k, b in q.items()})
+    return quot, rem
+
+
+def _reduced(num, den):
+    """num/den in lowest terms with den monic, as a Fraction when rational."""
+    if not den:
+        raise ZeroDivisionError("scalar division by zero")
+    if not num:
+        return Fraction(0)
+    low = min(min(num), min(den))
+    if low:
+        num, den = ({k - low: c for k, c in p.items()} for p in (num, den))
+    if len(den) > 1:  # Euclid; a den c t^k shares only powers of t, removed above
+        g, r = den, num
+        while r:
+            g, r = r, _poly_divmod(g, r)[1]
+        if max(g):
+            num, den = _poly_divmod(num, g)[0], _poly_divmod(den, g)[0]
+    lead = den[max(den)]
+    if lead != 1:
+        num, den = ({k: c / lead for k, c in p.items()} for p in (num, den))
+    if den == {0: 1} and list(num) == [0]:
+        return num[0]
+    return IPiFraction(num, den)
+
+
+def _poly_str(p):
+    return " + ".join(str(c) if k == 0 else ("" if c == 1 else f"{c}*") + (
+        "I*pi" if k == 1 else f"(I*pi)**{k}") for k, c in sorted(p.items(), reverse=True))
+
+
+def _at_pi(terms, digits: int):
+    """sum c_k (-1)^(k//2) pi^k over {k: c_k} (not all zero), correct to `digits`
+    digits: the working precision grows until cancellation leaves them intact."""
+    guard = 10
+    while True:
+        mp = mp_context(digits + guard)
+        values = [_fraction_mpf(mp, -c if k // 2 % 2 else c) * mp.pi**k for k, c in terms.items()]
+        total = mp.fsum(values)
+        if total and mp.fsum(map(abs, values)) <= abs(total) * 10 ** (guard - 3):
+            return total
+        guard *= 2
 
 
 def _to_exact_value(value):
@@ -137,12 +255,10 @@ def _to_exact_value(value):
         raise TypeError("bool is not a scalar value")
     if isinstance(value, (int, Fraction, str)):
         return Fraction(value)
-    if _is_sympy_number(value):
-        if value.free_symbols:
-            raise ValueError(f"exact scalar must be a number, got {value}")
+    if isinstance(value, IPiFraction):
         return value
     if isinstance(value, float):
-        raise ModeError("floats are approximate; build Exact scalars from int/Fraction/sympy")
+        raise ModeError("floats are approximate; build Exact scalars from int or Fraction")
     raise TypeError(f"cannot build an exact scalar from {type(value).__name__}")
 
 
@@ -162,7 +278,7 @@ class Scalar:
 
     @staticmethod
     def exact(value) -> "Scalar":
-        return Scalar(_canon_exact(_to_exact_value(value)))
+        return Scalar(_to_exact_value(value))
 
     # -- mode --------------------------------------------------------------
 
@@ -185,17 +301,12 @@ class Scalar:
         mp = context.mp
         if isinstance(self.value, Fraction):
             return Scalar(_fraction_mpf(mp, self.value), context.precision)
-        approx = self.value.evalf(context.precision + 10)
-        re, im = approx.as_real_imag()
-        if im == 0:
-            return Scalar(mp.mpf(mp.convert(re)), context.precision)
-        return Scalar(mp.mpc(mp.convert(re), mp.convert(im)), context.precision)
+        re, im = self.value.parts(context.precision + 10)
+        return Scalar(mp.mpc(re, im) if im else mp.mpf(re), context.precision)
 
     # -- predicates --------------------------------------------------------
 
     def is_zero(self) -> bool:
-        if self.is_exact and not isinstance(self.value, Fraction):
-            return _exact_is_zero(self.value)
         return self.value == 0
 
     def is_rational(self) -> bool:
@@ -212,7 +323,7 @@ class Scalar:
             mp = mp_context(30)
             if isinstance(self.value, Fraction):
                 return _fraction_mpf(mp, abs(self.value))
-            return mp.convert(abs(self.value).evalf(30))
+            return mp.hypot(*self.value.parts(30))
         ctx = mp_context(self.precision)
         return ctx.fabs(self.value)
 
@@ -222,9 +333,7 @@ class Scalar:
             mp = mp_context(digits or DEFAULT_PRECISION)
             if isinstance(self.value, Fraction):
                 return _fraction_mpf(mp, self.value), mp.mpf(0)
-            approx = self.value.evalf((digits or DEFAULT_PRECISION) + 10)
-            re, im = approx.as_real_imag()
-            return mp.convert(re), mp.convert(im)
+            return self.value.parts((digits or DEFAULT_PRECISION) + 10)
         mp = mp_context(self.precision)
         z = self.value
         if hasattr(z, "imag"):
@@ -239,10 +348,7 @@ class Scalar:
             return NotImplemented
         a, b = self, other
         if a.is_exact and b.is_exact:
-            x, y = a.value, b.value
-            if isinstance(x, Fraction) and isinstance(y, Fraction):
-                return Scalar(op(x, y))
-            return Scalar(_canon_exact(op(_sympy_value(x), _sympy_value(y))))
+            return Scalar(op(a.value, b.value))
         if not a.is_exact and not b.is_exact:
             if a.precision != b.precision:
                 raise ModeError(
@@ -290,7 +396,7 @@ class Scalar:
         if exponent < 0:
             return Scalar.exact(1) / (self ** (-exponent))
         if self.is_exact:
-            return Scalar(_canon_exact(self.value**exponent))
+            return Scalar(self.value**exponent)
         return Scalar(self.value**exponent, self.precision)
 
     # -- display -----------------------------------------------------------
@@ -309,13 +415,16 @@ class Scalar:
         if other is NotImplemented:
             return NotImplemented
         if self.is_exact and other.is_exact:
-            return _exact_equal(self.value, other.value)
+            return self.value == other.value
         if self.is_exact != other.is_exact or self.precision != other.precision:
             return False
         return self.value == other.value
 
     def __hash__(self):
         return hash((self.mode, str(self.value)))
+
+
+I_PI = Scalar(IPiFraction({1: Fraction(1)}, {0: Fraction(1)}))  # the exact value i pi
 
 
 def _coerce(value):
@@ -325,28 +434,7 @@ def _coerce(value):
         return NotImplemented
     if isinstance(value, (int, Fraction)):
         return Scalar.exact(value)
-    if _is_sympy_number(value) and not value.free_symbols:
-        return Scalar.exact(value)
     return NotImplemented
-
-
-def _exact_equal(x, y) -> bool:
-    if isinstance(x, Fraction) and isinstance(y, Fraction):
-        return x == y
-    return _exact_is_zero(_sympy_value(x) - _sympy_value(y))
-
-
-def _exact_is_zero(expr) -> bool:
-    z = expr.is_zero
-    if z is not None:
-        return z
-    import sympy as sp
-
-    expanded = sp.expand(expr)
-    z = expanded.is_zero
-    if z is not None:
-        return z
-    return sp.simplify(expanded).is_zero is True or expanded.equals(0) is True
 
 
 def scalar_eq(a: Scalar, b: Scalar, tol=0) -> bool:
@@ -355,7 +443,7 @@ def scalar_eq(a: Scalar, b: Scalar, tol=0) -> bool:
     a = _coerce(a)
     b = _coerce(b)
     if a.is_exact and b.is_exact:
-        return _exact_equal(a.value, b.value)
+        return a.value == b.value
     p = a.precision if not a.is_exact else b.precision
     ctx = PrecisionContext(p)
     av = a.to_float(ctx).value

@@ -209,8 +209,8 @@ def _plain_moments(w, count, mode, context, moment_seq):
 
 
 def _abs_scalar(diff, context):
-    if diff.is_exact:
-        return Scalar.exact(0) if diff.is_zero() else Scalar.exact(abs(diff.value))
+    if diff.is_exact:  # |z| of a value with an i pi part is not exact; only magnitude() is read
+        return Scalar.exact(abs(diff.value)) if diff.is_rational() else diff
     return Scalar(context.mp.fabs(diff.value), context.precision)
 
 
@@ -277,7 +277,7 @@ def _f_of_p_moments(P, w, f, kmax, context):
             acc = acc * x + c
         return f_at(acc)
 
-    norm = w.normalization.to_float(context).value
+    norm = w.divisor(context)
     entries = integrate_expression(
         w.expression(), w.interval, context,
         [(1, j) for j in range(kmax + 1)],

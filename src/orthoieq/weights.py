@@ -4,10 +4,10 @@ A Weight is immutable. Normalization divides the raw body by its integral
 so that m0 = 1; the divisor is kept on the Weight. Endpoint power-law
 exponents ride along as metadata for the quadrature engine.
 
-Preset moments are rational and computed with Fraction. The divisors of
-presets and contours may be irrational (Gamma, Beta, pi, i pi); they are
-sympy numbers, built the first time ``Weight.normalization`` is read, so
-a run that never needs them never imports sympy.
+Preset moments are rational and computed with Fraction. A preset's
+divisor (Gamma, Beta, pi/2 or 2) is needed only to divide quadrature
+results, so it is an mpmath value made at the working precision. A
+contour's divisor i pi (2k+1) is an exact Scalar.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from . import expressions as ex
 from .errors import ConfigurationError, IntegrabilityError, NormalizationError
-from .numeric import PrecisionContext, Scalar, tolerance
+from .numeric import I_PI, PrecisionContext, Scalar, mp_context, tolerance
 
 INF = math.inf
 
@@ -97,8 +97,8 @@ class Preset:
     def exponents(self):
         return Fraction(0), Fraction(0)
 
-    def divisor(self):
-        """Integral of the raw body over the interval, exact (sympy when irrational)."""
+    def divisor(self, mp):
+        """Integral of the raw body over the interval, at the precision of mpmath context mp."""
         raise NotImplementedError
 
     def moment(self, n: int) -> Fraction:
@@ -153,10 +153,8 @@ class Laguerre(Preset):
     def exponents(self):
         return self.gamma - 1, Fraction(0)
 
-    def divisor(self):
-        import sympy as sp
-
-        return sp.gamma(self.gamma)
+    def divisor(self, mp):
+        return mp.gamma(self.gamma)
 
     def moment(self, n):
         # rising factorial gamma (gamma+1) ... (gamma+n-1)
@@ -190,10 +188,8 @@ class JacobiAdd(Preset):
     def exponents(self):
         return self.q - 2, self.p - self.q
 
-    def divisor(self):
-        import sympy as sp
-
-        return sp.beta(self.q - 1, self.p - self.q + 1)
+    def divisor(self, mp):
+        return mp.beta(self.q - 1, self.p - self.q + 1)
 
     def moment(self, n):
         return _ratio_product(self.q - 1, self.p, n)
@@ -215,10 +211,8 @@ class ChebyshevU2Add(Preset):
     def exponents(self):
         return Fraction(-1, 2), Fraction(1, 2)
 
-    def divisor(self):
-        import sympy as sp
-
-        return sp.pi / 2
+    def divisor(self, mp):
+        return mp.pi / 2
 
     def moment(self, n):
         return _ratio_product(Fraction(1, 2), Fraction(2), n)
@@ -251,10 +245,8 @@ class JacobiMult(Preset):
     def exponents(self):
         return self.q - 1, self.p - self.q - 1
 
-    def divisor(self):
-        import sympy as sp
-
-        return sp.beta(self.q, self.p - self.q)
+    def divisor(self, mp):
+        return mp.beta(self.q, self.p - self.q)
 
     def moment(self, n):
         return _ratio_product(self.q, self.p, n)
@@ -276,10 +268,8 @@ class ChebyshevU2Mult(Preset):
     def exponents(self):
         return Fraction(1, 2), Fraction(-1, 2)
 
-    def divisor(self):
-        import sympy as sp
-
-        return sp.pi / 2
+    def divisor(self, mp):
+        return mp.pi / 2
 
     def moment(self, n):
         return _ratio_product(Fraction(3, 2), Fraction(2), n)
@@ -298,8 +288,8 @@ class UniformSymmetric(Preset):
     def raw_text(self):
         return "1"
 
-    def divisor(self):
-        return Fraction(2)
+    def divisor(self, mp):
+        return mp.mpf(2)
 
     def moment(self, n):
         return Fraction(0) if n % 2 else Fraction(1, n + 1)
@@ -334,49 +324,34 @@ class Contour:
         if not isinstance(self.winding, int) or self.winding < 0:
             raise ConfigurationError(f"winding must be an integer >= 0, got {self.winding}")
 
-    def constant(self):
-        import sympy as sp
-
-        return sp.I * sp.pi * (2 * self.winding + 1)
+    def constant(self) -> Scalar:
+        return I_PI * (2 * self.winding + 1)
 
 
 # ---------------------------------------------------------------------------
 # the Weight record
 
 
-class _BuiltOnFirstRead:
-    """Field descriptor: a zero-argument callable given to the constructor
-    (a preset's ``divisor``, a contour's ``constant``) is called on the first
-    read, and ``Scalar.exact`` of its result is kept and returned."""
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            raise AttributeError(self.name)  # no class-level default: the field stays required
-        value = obj.__dict__[self.name]
-        if callable(value):
-            value = Scalar.exact(value())
-            obj.__dict__[self.name] = value
-        return value
-
-    def __set__(self, obj, value):
-        obj.__dict__[self.name] = value
-
-
 @dataclass(frozen=True)
 class Weight:
     interval: Interval
     body: object  # Preset | expression tree | Contour
-    # divisor applied to the raw body; None = unnormalized
-    normalization: Scalar | None = _BuiltOnFirstRead()
+    # divisor applied to a contour or expression body; None for a preset,
+    # whose body has a closed form, and for a weight not yet normalized
+    normalization: Scalar | None
     endpoint_exponents: tuple
     weight_id: str
 
     @property
     def is_normalized(self) -> bool:
-        return self.__dict__["normalization"] is not None  # without building the divisor
+        return self.is_preset or self.normalization is not None
+
+    def divisor(self, context: PrecisionContext):
+        """The raw body's divisor at the context precision (a preset's closed form
+        is formed at p+10 digits and rounded once to p)."""
+        if self.is_preset:
+            return context.mp.mpf(self.body.divisor(mp_context(context.precision + 10)))
+        return self.normalization.to_float(context).value
 
     @property
     def is_contour(self) -> bool:
@@ -417,7 +392,7 @@ def preset_weight(name_or_preset, **params) -> Weight:
     return Weight(
         interval=preset.interval(),
         body=preset,
-        normalization=preset.divisor,
+        normalization=None,
         endpoint_exponents=preset.exponents(),
         weight_id=label,
     )
@@ -428,7 +403,7 @@ def contour_weight(winding: int = 0) -> Weight:
     return Weight(
         interval=Interval(-1, 1),
         body=body,
-        normalization=body.constant,
+        normalization=body.constant(),
         endpoint_exponents=(Fraction(0), Fraction(0)),
         weight_id=f"contour[k={winding}]",
     )
@@ -470,9 +445,7 @@ def normalize(w: Weight, context: PrecisionContext | None = None) -> Weight:
     weights integrate numerically at the context precision (default 50).
     """
     if w.is_normalized:
-        return w
-    if w.is_preset or w.is_contour:
-        return w  # constructed normalized
+        return w  # presets and contours are constructed normalized
     from .quadrature import integrate_expression  # deferred: quadrature imports weights
 
     context = context or PrecisionContext()

@@ -1,6 +1,9 @@
-import pytest
+from fractions import Fraction
 
-from orthoieq import PrecisionContext, preset_weight
+import pytest
+import sympy as sp
+
+from orthoieq import PrecisionContext, Scalar, contour_weight, preset_weight
 
 
 @pytest.fixture(scope="session")
@@ -26,3 +29,36 @@ ALL_PRESETS = ADDITIVE_PRESETS + [
 
 def make_weight(name, params):
     return preset_weight(name, **params)
+
+
+_T = sp.Symbol("t")  # stands for i pi
+I_PI = contour_weight(0).normalization  # the exact Scalar i pi
+
+
+def from_sympy(value):
+    """A sympy number of Q(i pi) as an exact Scalar, built from i pi by Horner's rule.
+
+    With pi = -i t the value is a rational function of t with rational
+    coefficients; anything else (a bare i, sqrt(2), ...) raises ValueError.
+    """
+    num, den = sp.fraction(sp.cancel(sp.sympify(value).subs(sp.pi, -sp.I * _T)))
+    return _horner_in_i_pi(num, value) / _horner_in_i_pi(den, value)
+
+
+def _horner_in_i_pi(expr, value):
+    acc = Scalar.exact(0)
+    for c in sp.Poly(expr, _T).all_coeffs():
+        if not c.is_Rational:
+            raise ValueError(f"{value} is not in Q(i pi)")
+        acc = acc * I_PI + Scalar.exact(Fraction(int(c.p), int(c.q)))
+    return acc
+
+
+def sympy_to_float(value, context):
+    """A sympy number evaluated at p+10 digits and rounded once to p: an mpf
+    when its imaginary part is zero, else an mpc (the oracle for Float(p) values)."""
+    re, im = sp.sympify(value).evalf(context.precision + 10).as_real_imag()
+    mp = context.mp
+    if im == 0:
+        return mp.mpf(mp.convert(re))
+    return mp.mpc(mp.convert(re), mp.convert(im))

@@ -24,7 +24,7 @@ from orthoieq import (
 )
 from orthoieq.linalg import determinant
 
-from conftest import ADDITIVE_PRESETS, make_weight
+from conftest import ADDITIVE_PRESETS, from_sympy, make_weight
 
 TOL35 = Fraction(1, 10**35)
 
@@ -176,7 +176,7 @@ class TestHankelCondition:
         m = contour_moments(0, 3, mode="exact")
         det, valid = hankel_condition(m, 1)
         assert valid
-        assert det == Scalar.exact(4 / sp.pi**2)
+        assert det == from_sympy(4 / sp.pi**2)
 
     @pytest.mark.parametrize("name,params", ADDITIVE_PRESETS)
     def test_positive_measure_presets_valid_to_10(self, name, params):

@@ -1,4 +1,4 @@
-"""sympy stays out of every run without an irrational value.
+"""sympy stays out of every run: the tests use it as an oracle, the package never.
 
 Each check starts a fresh interpreter, because the test process itself has
 long since imported sympy.
@@ -71,10 +71,10 @@ def test_verify_poly_file_leaves_sympy_out(tmp_path):
     assert result["sympy"] is False
 
 
-def test_exact_contour_still_loads_sympy_and_gives_legendre():
+def test_exact_contour_leaves_sympy_out_and_gives_legendre():
     result = run_cli("poly", "--contour", "-n", "2", "--mode", "exact")
     assert result["code"] == 0
-    assert result["sympy"] is True
+    assert result["sympy"] is False
     record = json.loads(result["stdout"])
     coeffs = [Fraction(int(c["num"]), int(c["den"])) for c in record["coefficients"]]
     assert coeffs == [1, 0, -3]  # -2 * Legendre P_2 = -(3x^2 - 1)
@@ -89,3 +89,28 @@ def test_float_contour_poly_leaves_sympy_out():
     record = json.loads(result["stdout"])
     assert record["mode"] == "float"
     assert record["verification"]["pass"] is True
+
+
+# runs cli.main on each argument list with sympy made unimportable and
+# prints the exit codes
+BLOCKED_PROBE = """
+import contextlib, io, json, sys
+sys.modules["sympy"] = None
+from orthoieq.cli import main
+codes = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(main(argv))
+print(json.dumps(codes))
+"""
+
+
+def test_runs_with_sympy_unimportable():
+    runs = [
+        ["poly", "--contour", "-n", "4", "--mode", "exact"],
+        ["poly", "--contour", "-n", "3", "--variant", "functional", "--f", "x^2+x",
+         "--mode", "exact"],
+        ["moments", "--preset", "laguerre", "--gamma", "5/2", "--count", "9",
+         "--method", "quadrature"],
+    ]
+    assert json.loads(fresh_python("-c", BLOCKED_PROBE, json.dumps(runs))) == [0, 0, 0]

@@ -14,6 +14,8 @@ from orthoieq import (
     with_precision,
 )
 
+from conftest import I_PI, from_sympy, sympy_to_float
+
 rationals = st.fractions(
     min_value=Fraction(-1000), max_value=Fraction(1000), max_denominator=997
 )
@@ -70,11 +72,11 @@ class TestModes:
             ctx.scalar(1) / ctx.scalar(0)
 
     def test_pi_symbolic_arithmetic(self):
-        m1 = Scalar.exact(2 / (sp.I * sp.pi))
+        m1 = from_sympy(2 / (sp.I * sp.pi))
         det = Scalar.exact(0) - m1 * m1
-        assert det == Scalar.exact(4 / sp.pi**2)
+        assert det == from_sympy(4 / sp.pi**2)
         # (4/pi^2) / (-2 I/pi) = 2 I / pi
-        assert (det / m1) == Scalar.exact(2 * sp.I / sp.pi)
+        assert (det / m1) == from_sympy(2 * sp.I / sp.pi)
 
     def test_integer_powers(self):
         assert Scalar.exact(Fraction(2, 3)) ** 3 == Scalar.exact(Fraction(8, 27))
@@ -134,22 +136,49 @@ class TestExactRepresentation:
     def test_rational_results_are_fractions(self):
         third = Scalar.exact(Fraction(1, 3))
         for s in (third + 2, third * third, third / 7, third**3, -third,
-                  Scalar.exact(sp.Rational(3, 4)), Scalar.exact("5/2")):
+                  from_sympy(sp.Rational(3, 4)), Scalar.exact("5/2")):
             assert isinstance(s.value, Fraction) and s.is_rational()
 
     def test_contour_values_stay_symbolic_until_they_cancel(self):
-        m1 = Scalar.exact(2 / (sp.I * sp.pi))
-        assert isinstance(m1.value, sp.Expr) and not m1.is_rational()
-        product = m1 * Scalar.exact(sp.I * sp.pi / 2)
+        m1 = from_sympy(2 / (sp.I * sp.pi))
+        assert not isinstance(m1.value, Fraction) and not m1.is_rational()
+        product = m1 * from_sympy(sp.I * sp.pi / 2)
         assert isinstance(product.value, Fraction) and product.as_fraction() == 1
-        difference = m1 - Scalar.exact(-2 * sp.I / sp.pi)
+        difference = m1 - from_sympy(-2 * sp.I / sp.pi)
         assert isinstance(difference.value, Fraction) and difference.is_zero()
+
+    def test_equal_values_share_one_form(self):
+        # (1 + i pi)/(2 - pi^2) reached by two routes: same value, str and hash
+        a = from_sympy((1 + sp.I * sp.pi) / (2 - sp.pi**2))
+        b = (I_PI * 3 + 3) / (I_PI * I_PI * 3 + 6)
+        assert a == b and str(a) == str(b) and hash(a) == hash(b)
+        assert isinstance((a - b).value, Fraction) and (a - b).is_zero()
+
+    @pytest.mark.parametrize("p", [16, 50, 77])
+    @pytest.mark.parametrize("value", [
+        2 / (sp.I * sp.pi),
+        4 / sp.pi**2,
+        1 + sp.I * sp.pi,
+        (1 + sp.I * sp.pi) / (2 - sp.pi**2),
+        (3 * sp.I * sp.pi**3 - 1) / (sp.pi**4 + 7 * sp.I * sp.pi),
+        sp.pi**2 - sp.Rational(98696044010893586188, 10**19),  # cancels 20 digits
+    ])
+    def test_to_float_is_the_rounded_sympy_value(self, value, p):
+        # bit for bit what sympy gives at p+10 digits rounded once to p, and an
+        # mpf exactly when the value is real
+        ctx = PrecisionContext(p)
+        got = from_sympy(value).to_float(ctx).value
+        want = sympy_to_float(value, ctx)
+        assert got == want and type(got) is type(want)
+        mp = PrecisionContext(30).mp  # magnitudes are sized at 30 digits
+        magnitude = mp.mpf(mp.convert(abs(sp.sympify(value)).evalf(30)))
+        assert abs(from_sympy(value).magnitude() - magnitude) <= magnitude * mp.mpf(10) ** -28
 
     def test_str_renders_like_sympy(self):
         assert str(Scalar.exact(Fraction(-3, 2))) == "-3/2"
         assert str(Scalar.exact(7)) == "7"
         assert str(Scalar.exact(0)) == "0"
-        assert str(Scalar.exact(sp.Rational(-3, 2))) == str(sp.Rational(-3, 2))
+        assert str(from_sympy(sp.Rational(-3, 2))) == str(sp.Rational(-3, 2))
 
     @pytest.mark.parametrize("q", [Fraction(1, 3), Fraction(-22, 7), Fraction(10**80 + 1, 3)])
     @pytest.mark.parametrize("p", [16, 50, 100])

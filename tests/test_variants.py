@@ -36,6 +36,8 @@ from orthoieq import (
 )
 from orthoieq.linalg import solve_full_pivot
 
+from conftest import from_sympy
+
 TOL35 = Fraction(1, 10**35)
 TOL30 = Fraction(1, 10**30)
 
@@ -253,11 +255,10 @@ class TestLinearShift:
             LinearShift(Scalar.exact(1), Scalar.exact(0))
 
     def test_complex_shift_accepted_and_flagged(self, ctx50):
-        import sympy as sp
-
+        # Q(i pi) has no bare i, so the complex shift is 1 + i pi
         w = preset_weight("laguerre", gamma=1)
         m = moments(w, 5, mode="exact")
-        a = Scalar.exact(1 + sp.I)
+        a = from_sympy(1 + sp.I * sp.pi)
         P = solve_linear_shift(m, 1, a, 1)
         form = LinearShift(a, Scalar.exact(1))
         assert form.complex_shift
@@ -305,7 +306,32 @@ class TestFunctional:
         P = solve_functional(contour_weight(0), "x^3", 1, mode="exact")
         assert all(c.is_exact for c in P.coeffs)
         assert P.coeffs[0] == Scalar.exact(0)
-        assert P.coeffs[1] == Scalar.exact(sp.I * sp.pi / 2)
+        assert P.coeffs[1] == from_sympy(sp.I * sp.pi / 2)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_contour_quadratic_f_conditions_hold_exactly(self, n):
+        # <f^k P> = delta_k0 for f = x^2 + x on winding 0: each deviation is
+        # exactly zero (this took 21 s at n = 2 and did not finish at n = 3
+        # while contour values were sympy expressions)
+        w = contour_weight(0)
+        P = solve_functional(w, "x^2+x", n, mode="exact")
+        table = generalized_moments(w, "x^2+x", n, n)
+        for k, row in enumerate(table):
+            deviation = sum((a * m for a, m in zip(P.coeffs, row)),
+                            Scalar.exact(-1 if k == 0 else 0))
+            assert deviation.is_rational() and deviation.is_zero()
+        if n == 2:
+            # oracle: the same conditions solved by sympy on the closed-form moments
+            x = sp.Symbol("x")
+
+            def inner(expr):
+                poly = sp.Poly(sp.expand(expr), x)
+                return sum(c * (1 if j == 0 else (1 - (-1) ** j) / (j * sp.I * sp.pi))
+                           for (j,), c in poly.terms())
+
+            M = sp.Matrix(n + 1, n + 1, lambda k, j: inner((x**2 + x) ** k * x**j))
+            want = M.LUsolve(sp.Matrix([1] + [0] * n))
+            assert list(P.coeffs) == [from_sympy(a) for a in want]
 
     def test_sqrt_argument_by_hand(self, ctx50):
         # f = sqrt(x) on e^-x: a + b = 1, a Gamma(3/2) + b Gamma(5/2) = 0

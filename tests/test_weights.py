@@ -9,6 +9,7 @@ from orthoieq import (
     IntegrabilityError,
     Interval,
     NormalizationError,
+    PrecisionContext,
     Scalar,
     contour_weight,
     moments,
@@ -20,7 +21,7 @@ from orthoieq import (
 from orthoieq.numeric import tolerance
 from orthoieq.quadrature import integrate_expression
 
-from conftest import ALL_PRESETS, make_weight
+from conftest import ALL_PRESETS, from_sympy, make_weight, sympy_to_float
 
 
 class TestInterval:
@@ -65,25 +66,25 @@ class TestPresetValidation:
 
 
 class TestNormalization:
-    def test_laguerre_gamma1_divisor_is_one(self):
+    def test_laguerre_gamma1_divisor_is_one(self, ctx50):
         w = preset_weight("laguerre", gamma=1)
-        assert w.normalization == Scalar.exact(1)
+        assert w.divisor(ctx50) == 1
 
-    def test_laguerre_gamma2_divisor_is_gamma_of_2(self):
+    def test_laguerre_gamma2_divisor_is_gamma_of_2(self, ctx50):
         # oracle: integral of x e^-x over (0, inf) is Gamma(2) = 1
         mpmath.mp.dps = 30
         oracle = mpmath.quad(lambda t: t * mpmath.exp(-t), [0, mpmath.inf])
         assert abs(oracle - 1) < mpmath.mpf(10) ** -25
         w = preset_weight("laguerre", gamma=2)
-        assert w.normalization == Scalar.exact(1)
+        assert w.divisor(ctx50) == 1
 
-    def test_chebyshev_add_divisor_is_half_pi(self):
+    def test_chebyshev_add_divisor_is_half_pi(self, ctx50):
         # oracle: Beta(1/2, 3/2) by direct Beta evaluation
         mpmath.mp.dps = 30
         oracle = mpmath.beta(mpmath.mpf(1) / 2, mpmath.mpf(3) / 2)
         assert abs(oracle - mpmath.pi / 2) < mpmath.mpf(10) ** -25
         w = preset_weight("chebyshev-u2-add")
-        assert w.normalization == Scalar.exact(sp.pi / 2)
+        assert w.divisor(ctx50) == sympy_to_float(sp.pi / 2, ctx50)
 
     @pytest.mark.parametrize("name,params", ALL_PRESETS)
     def test_float_quadrature_agrees_with_exact_divisor(self, name, params, ctx50):
@@ -91,8 +92,8 @@ class TestNormalization:
         w = make_weight(name, params)
         raw = parse_weight(w.body.raw_text(), w.interval)
         raw = normalize(raw, ctx50)
-        exact_div = Scalar.exact(w.body.divisor()).to_float(ctx50)
-        assert scalar_eq(raw.normalization, exact_div, tol=Fraction(1, 10**45))
+        closed_div = ctx50.scalar(w.divisor(ctx50))
+        assert scalar_eq(raw.normalization, closed_div, tol=Fraction(1, 10**45))
 
     def test_already_normalized_is_identity(self, ctx50):
         w = preset_weight("laguerre", gamma=1)
@@ -114,7 +115,7 @@ def _sympy_ratio_product(a, b, n):
 
 
 # the sympy closed forms the presets used before their moments became Fractions
-# and their divisors were built on first read
+# and their divisors mpmath values
 SYMPY_MOMENT = {
     "laguerre": lambda b, n: _sympy_ratio_product(b.gamma, Fraction(1), n) * sp.factorial(n),
     "jacobi-add": lambda b, n: _sympy_ratio_product(b.q - 1, b.p, n),
@@ -157,19 +158,23 @@ class TestClosedFormsMatchSympy:
             got = w.body.moment(n)
             assert type(got) is Fraction
             assert got == Fraction(int(want.p), int(want.q))
-            assert exact[n] == Scalar.exact(want)
+            assert exact[n] == from_sympy(want)
 
+    @pytest.mark.parametrize("p", [16, 30, 50, 77, 100])
     @pytest.mark.parametrize("name,params", CLOSED_FORM_PRESETS)
-    def test_divisor_built_on_read_equals_sympy_closed_form(self, name, params):
+    def test_divisor_equals_rounded_sympy_closed_form(self, name, params, p):
+        # bit for bit the sympy closed form at p+10 digits, rounded once to p
+        ctx = PrecisionContext(p)
         w = make_weight(name, params)
-        assert w.normalization == Scalar.exact(SYMPY_DIVISOR[name](w.body))
-        assert w.normalization is w.normalization  # built once, then kept
+        got = w.divisor(ctx)
+        assert type(got) is type(ctx.mp.mpf(0))
+        assert got == sympy_to_float(SYMPY_DIVISOR[name](w.body), ctx)
 
     @pytest.mark.parametrize("name,params", QUADRATURE_PRESETS)
     def test_quadrature_moments_divide_by_the_same_value(self, name, params, ctx50):
         w = make_weight(name, params)
         got = moments(w, 9, context=ctx50, method="quadrature")
-        norm = Scalar.exact(SYMPY_DIVISOR[name](w.body)).to_float(ctx50).value
+        norm = sympy_to_float(SYMPY_DIVISOR[name](w.body), ctx50)
         raw = integrate_expression(
             w.expression(), w.interval, ctx50,
             [(0, n) for n in range(9)],
@@ -227,9 +232,9 @@ class TestContour:
 
     def test_normalizing_constant(self):
         w = contour_weight(0)
-        assert w.normalization == Scalar.exact(sp.I * sp.pi)
+        assert w.normalization == from_sympy(sp.I * sp.pi)
         w2 = contour_weight(2)
-        assert w2.normalization == Scalar.exact(5 * sp.I * sp.pi)
+        assert w2.normalization == from_sympy(5 * sp.I * sp.pi)
 
     def test_not_pointwise_evaluable(self):
         with pytest.raises(ConfigurationError):
