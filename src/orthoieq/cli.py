@@ -48,7 +48,7 @@ from .variants import (
     _plain_moments,
     _verdict,
 )
-from .weights import Interval, contour_weight, normalize, parse_weight, preset_weight
+from .weights import PRESETS, Interval, contour_weight, normalize, parse_weight, preset_weight
 
 _NUMERIC_ERRORS = (
     SingularHankelError,
@@ -108,9 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         group = p.add_argument_group("weight")
-        group.add_argument("--preset", choices=sorted(
-            ["laguerre", "jacobi-add", "chebyshev-u2-add",
-             "jacobi-mult", "chebyshev-u2-mult", "uniform-symmetric"]))
+        group.add_argument("--preset", choices=sorted(PRESETS))
         group.add_argument("--gamma", help="laguerre parameter (rational, e.g. 5/2 or 2.5)")
         group.add_argument("--p", help="jacobi parameter p")
         group.add_argument("--q", help="jacobi parameter q")
@@ -179,12 +177,7 @@ def weight_from_args(args, context):
     if args.contour:
         return contour_weight(args.winding)
     if args.preset:
-        params = {}
-        if args.preset == "laguerre":
-            params["gamma"] = _rational(args.gamma, "gamma")
-        elif args.preset in ("jacobi-add", "jacobi-mult"):
-            params["p"] = _rational(args.p, "p")
-            params["q"] = _rational(args.q, "q")
+        params = {k: _rational(getattr(args, k), k) for k in PRESETS[args.preset].params}
         return preset_weight(args.preset, **params)
     if not args.interval:
         raise ConfigurationError("--expr needs --interval ALPHA BETA")

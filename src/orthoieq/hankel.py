@@ -39,17 +39,13 @@ class HankelSystem:
     n: int
     B: tuple
     C: tuple
-    rhs: tuple
 
     @staticmethod
     def from_moments(m, n: int) -> "HankelSystem":
         _require(m, 2 * n + 1, f"HankelSystem(n={n})")
         B = tuple(tuple(m[k + j] for j in range(n + 1)) for k in range(n + 1))
         C = tuple(tuple(m[k + j + 1] for j in range(n)) for k in range(n))
-        one = Scalar.exact(1)
-        zero = Scalar.exact(0)
-        rhs = tuple(one if k == 0 else zero for k in range(n + 1))
-        return HankelSystem(n, B, C, rhs)
+        return HankelSystem(n, B, C)
 
 
 def hankel_condition(m, n: int, *, context: PrecisionContext | None = None):

@@ -32,7 +32,6 @@ class MomentSequence:
     source: str  # analytic | quadrature | contour
     weight_id: str
     error_estimates: tuple | None = None
-    winding: int | None = None
 
     def __post_init__(self):
         if not self.values:
@@ -101,7 +100,6 @@ def _quadrature_moments(w: Weight, count: int, context: PrecisionContext) -> Mom
         w.expression(), w.interval, context,
         [(0, n) for n in range(count)],
         endpoint_exponents=w.endpoint_exponents,
-        target=tolerance(context, 10),
         wrap_error=lambda n, exc: QuadratureError(
             f"moment m_{n} of {w.weight_id}: {exc}", worst_index=n
         ),
@@ -139,7 +137,7 @@ def contour_moments(winding: int, count: int, *, mode: str = "float",
         )
     else:
         raise ConfigurationError(f"mode must be 'float' or 'exact', got {mode!r}")
-    return MomentSequence(values, "contour", f"contour[k={winding}]", winding=winding)
+    return MomentSequence(values, "contour", f"contour[k={winding}]")
 
 
 def generalized_moments(w: Weight, f, kmax: int, jmax: int, *,
@@ -182,7 +180,6 @@ def generalized_moments(w: Weight, f, kmax: int, jmax: int, *,
         [(k, j) for k in range(kmax + 1) for j in range(width)],
         shared=ex.compile_float(f, working_context(context.precision)),
         endpoint_exponents=w.endpoint_exponents,
-        target=tolerance(context, 10),
         wrap_error=entry_error,
     )
     values = [Scalar(raw.value / norm, context.precision) for raw, _err in entries]

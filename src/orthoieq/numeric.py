@@ -67,9 +67,6 @@ class PrecisionContext:
     def zero(self) -> "Scalar":
         return Scalar(self.mp.mpf(0), self.precision)
 
-    def one(self) -> "Scalar":
-        return Scalar(self.mp.mpf(1), self.precision)
-
     def _convert(self, value):
         if isinstance(value, Fraction):
             return _fraction_mpf(self.mp, value)

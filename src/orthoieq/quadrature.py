@@ -34,7 +34,7 @@ from fractions import Fraction
 from mpmath.libmp import mpc_mul, mpc_mul_mpf, mpf_mul, mpf_sum
 
 from .errors import IntegrabilityError, QuadratureError
-from .numeric import Scalar, mp_context
+from .numeric import Scalar, mp_context, tolerance
 from . import expressions as ex
 
 _MAX_DEGREE = 8
@@ -53,7 +53,7 @@ def _error_floor(mp, working_dps):
 
 
 def integrate_expression(tree, interval, context, factors=((0, 0),), *, shared=None,
-                         endpoint_exponents=(0, 0), target=None, wrap_error=None):
+                         endpoint_exponents=(0, 0), wrap_error=None):
     """Integrate the expression tree times each factor over the interval.
 
     Each factor is a pair (k, j) of non-negative integers standing for the
@@ -63,17 +63,16 @@ def integrate_expression(tree, interval, context, factors=((0, 0),), *, shared=N
 
     Returns one (value, error_estimate) pair of Scalars at the context
     precision per factor, each equal to the p digits a separate ``quadts``
-    call gives for that entry. Raises QuadratureError when an estimate misses
-    the target or evaluation fails, and IntegrabilityError when an integral
-    is not finite, or is above 10^min(30, p//2) and its last level step still
-    exceeds the target relative to it. Of several failing entries the lowest
-    index is raised, as a loop over the entries would; ``wrap_error(index,
-    exc)`` replaces a QuadratureError when given.
+    call gives for that entry. The target is 10^(10-p). Raises QuadratureError
+    when an estimate exceeds the target times max(1, |integral|) or evaluation
+    fails, and IntegrabilityError when an integral is not finite, or is above
+    10^min(30, p//2) and its last level step still exceeds the target relative
+    to it. Of several failing entries the lowest index is raised, as a loop
+    over the entries would; ``wrap_error(index, exc)`` replaces a
+    QuadratureError when given.
     """
     p = context.precision
     work = working_context(p)
-    if target is None:
-        target = context.mp.mpf(10) ** (10 - p)
     description = ex.to_text(tree)
     pieces = _split_pieces(interval, endpoint_exponents, work)
     weight = ex.compile_float(tree, work)
@@ -99,7 +98,7 @@ def integrate_expression(tree, interval, context, factors=((0, 0),), *, shared=N
 
     floor = _error_floor(work, work.dps)
     ceiling = work.mpf(10) ** min(30, p // 2)
-    target = work.convert(target)
+    target = work.convert(tolerance(context, 10))
     out = []
     for i in range(count if failed is None else failed[0]):
         est = max(ests[i], floor)

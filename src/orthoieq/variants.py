@@ -283,7 +283,6 @@ def _f_of_p_moments(P, w, f, kmax, context):
         [(1, j) for j in range(kmax + 1)],
         shared=f_of_p,
         endpoint_exponents=w.endpoint_exponents,
-        target=tolerance(context, 10),
     )
     return [Scalar(raw.value / norm, context.precision) for raw, _err in entries]
 

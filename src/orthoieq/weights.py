@@ -4,16 +4,23 @@ A Weight is immutable. Normalization divides the raw body by its integral
 so that m0 = 1; the divisor is kept on the Weight. Endpoint power-law
 exponents ride along as metadata for the quadrature engine.
 
+There are three preset bodies: Laguerre x^(gamma-1) e^(-x) on (0, inf),
+Beta x^A (1-x)^B on (0, 1) and a constant on (-1, 1). The four (0, 1)
+presets are Beta bodies: jacobi-add(p, q) has (A, B) = (q-2, p-q),
+jacobi-mult(p, q) has (q-1, p-q-1), chebyshev-u2-add (-1/2, 1/2) and
+chebyshev-u2-mult (1/2, -1/2). PRESETS maps each preset name to its
+parameters, their range and its body.
+
 Preset moments are rational and computed with Fraction. A preset's
-divisor (Gamma, Beta, pi/2 or 2) is needed only to divide quadrature
-results, so it is an mpmath value made at the working precision. A
-contour's divisor i pi (2k+1) is an exact Scalar.
+divisor (Gamma, Beta or 2) is needed only to divide quadrature results,
+so it is an mpmath value made at the working precision. A contour's
+divisor i pi (2k+1) is an exact Scalar.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import expressions as ex
@@ -70,9 +77,7 @@ class Interval:
 
 def _fraction_param(value, name):
     try:
-        if isinstance(value, float):
-            return Fraction(value)  # exact binary expansion
-        return Fraction(value)
+        return Fraction(value)  # a float keeps its exact binary expansion
     except (TypeError, ValueError):
         raise ConfigurationError(f"{name} must be a rational number, got {value!r}") from None
 
@@ -81,29 +86,22 @@ def _fraction_param(value, name):
 # preset bodies
 
 
-@dataclass(frozen=True)
 class Preset:
-    """Closed-form weight family with analytic normalization and moments."""
+    """Closed-form weight body with analytic normalization and moments.
 
-    name: str = field(init=False, default="")
-
-    def interval(self) -> Interval:
-        raise NotImplementedError
-
-    def raw_text(self) -> str:
-        """The unnormalized body as expression text (for quadrature cross-checks)."""
-        raise NotImplementedError
+    A body supplies interval(); raw_text(), the unnormalized body as
+    expression text (for quadrature cross-checks); exponents(), its endpoint
+    power-law exponents; divisor(mp), the integral of the raw body at the
+    precision of mpmath context mp; and moment(n), the n-th moment of the
+    normalized weight as an exact rational.
+    """
 
     def exponents(self):
         return Fraction(0), Fraction(0)
 
-    def divisor(self, mp):
-        """Integral of the raw body over the interval, at the precision of mpmath context mp."""
-        raise NotImplementedError
-
-    def moment(self, n: int) -> Fraction:
-        """n-th moment of the normalized weight, as an exact rational."""
-        raise NotImplementedError
+    def admissible(self) -> bool:
+        """Whether the parameters lie in the family's range."""
+        return True
 
 
 def _power_text(base: str, e: Fraction) -> str:
@@ -131,18 +129,14 @@ def _ratio_product(a: Fraction, b: Fraction, n: int) -> Fraction:
     return num / den
 
 
-
 @dataclass(frozen=True)
 class Laguerre(Preset):
     """x^(gamma-1) e^(-x) on (0, inf), gamma >= 1."""
 
     gamma: Fraction
 
-    def __post_init__(self):
-        object.__setattr__(self, "name", "laguerre")
-        object.__setattr__(self, "gamma", _fraction_param(self.gamma, "gamma"))
-        if self.gamma < 1:
-            raise ConfigurationError(f"laguerre requires gamma >= 1, got {self.gamma}")
+    def admissible(self):
+        return self.gamma >= 1
 
     def interval(self):
         return Interval(0, INF)
@@ -162,125 +156,34 @@ class Laguerre(Preset):
 
 
 @dataclass(frozen=True)
-class JacobiAdd(Preset):
-    """x^(q-2) (1-x)^(p-q) on (0, 1); q > 1 and p - q > -1."""
+class Beta(Preset):
+    """x^a (1-x)^b on (0, 1), a > -1 and b > -1; it integrates to B(a+1, b+1)."""
 
-    p: Fraction
-    q: Fraction
+    a: Fraction
+    b: Fraction
 
-    def __post_init__(self):
-        object.__setattr__(self, "name", "jacobi-add")
-        object.__setattr__(self, "p", _fraction_param(self.p, "p"))
-        object.__setattr__(self, "q", _fraction_param(self.q, "q"))
-        if not (self.q > 1 and self.p - self.q > -1):
-            raise ConfigurationError(
-                f"jacobi-add requires q > 1 and p - q > -1, got p={self.p}, q={self.q}"
-            )
+    def admissible(self):
+        return self.a > -1 and self.b > -1
 
     def interval(self):
         return Interval(0, 1)
 
     def raw_text(self):
-        return _product_text(
-            [_power_text("x", self.q - 2), _power_text("(1-x)", self.p - self.q)]
-        )
+        return _product_text([_power_text("x", self.a), _power_text("(1-x)", self.b)])
 
     def exponents(self):
-        return self.q - 2, self.p - self.q
+        return self.a, self.b
 
     def divisor(self, mp):
-        return mp.beta(self.q - 1, self.p - self.q + 1)
+        return mp.beta(self.a + 1, self.b + 1)
 
     def moment(self, n):
-        return _ratio_product(self.q - 1, self.p, n)
-
-
-@dataclass(frozen=True)
-class ChebyshevU2Add(Preset):
-    """(1-x)^(1/2) x^(-1/2) on (0, 1)."""
-
-    def __post_init__(self):
-        object.__setattr__(self, "name", "chebyshev-u2-add")
-
-    def interval(self):
-        return Interval(0, 1)
-
-    def raw_text(self):
-        return "(1-x)^(1/2)*x^(-1/2)"
-
-    def exponents(self):
-        return Fraction(-1, 2), Fraction(1, 2)
-
-    def divisor(self, mp):
-        return mp.pi / 2
-
-    def moment(self, n):
-        return _ratio_product(Fraction(1, 2), Fraction(2), n)
-
-
-@dataclass(frozen=True)
-class JacobiMult(Preset):
-    """(1-x)^(p-q-1) x^(q-1) on (0, 1); p - q > 0 and q > 0."""
-
-    p: Fraction
-    q: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "name", "jacobi-mult")
-        object.__setattr__(self, "p", _fraction_param(self.p, "p"))
-        object.__setattr__(self, "q", _fraction_param(self.q, "q"))
-        if not (self.p - self.q > 0 and self.q > 0):
-            raise ConfigurationError(
-                f"jacobi-mult requires p - q > 0 and q > 0, got p={self.p}, q={self.q}"
-            )
-
-    def interval(self):
-        return Interval(0, 1)
-
-    def raw_text(self):
-        return _product_text(
-            [_power_text("(1-x)", self.p - self.q - 1), _power_text("x", self.q - 1)]
-        )
-
-    def exponents(self):
-        return self.q - 1, self.p - self.q - 1
-
-    def divisor(self, mp):
-        return mp.beta(self.q, self.p - self.q)
-
-    def moment(self, n):
-        return _ratio_product(self.q, self.p, n)
-
-
-@dataclass(frozen=True)
-class ChebyshevU2Mult(Preset):
-    """x^(1/2) (1-x)^(-1/2) on (0, 1)."""
-
-    def __post_init__(self):
-        object.__setattr__(self, "name", "chebyshev-u2-mult")
-
-    def interval(self):
-        return Interval(0, 1)
-
-    def raw_text(self):
-        return "x^(1/2)*(1-x)^(-1/2)"
-
-    def exponents(self):
-        return Fraction(1, 2), Fraction(-1, 2)
-
-    def divisor(self, mp):
-        return mp.pi / 2
-
-    def moment(self, n):
-        return _ratio_product(Fraction(3, 2), Fraction(2), n)
+        return _ratio_product(self.a + 1, self.a + self.b + 2, n)
 
 
 @dataclass(frozen=True)
 class UniformSymmetric(Preset):
     """Constant body on (-1, 1); normalizes to 1/2."""
-
-    def __post_init__(self):
-        object.__setattr__(self, "name", "uniform-symmetric")
 
     def interval(self):
         return Interval(-1, 1)
@@ -295,13 +198,30 @@ class UniformSymmetric(Preset):
         return Fraction(0) if n % 2 else Fraction(1, n + 1)
 
 
+@dataclass(frozen=True)
+class Family:
+    """A preset name's parameters, the text naming their range (formatted with
+    the parameter values when they fall outside it), and the map from the
+    parameters to the body."""
+
+    params: tuple
+    requirement: str
+    body: object
+
+
+_HALF = Fraction(1, 2)
+
 PRESETS = {
-    "laguerre": Laguerre,
-    "jacobi-add": JacobiAdd,
-    "chebyshev-u2-add": ChebyshevU2Add,
-    "jacobi-mult": JacobiMult,
-    "chebyshev-u2-mult": ChebyshevU2Mult,
-    "uniform-symmetric": UniformSymmetric,
+    "laguerre": Family(("gamma",), "gamma >= 1, got {gamma}", Laguerre),
+    "jacobi-add": Family(
+        ("p", "q"), "q > 1 and p - q > -1, got p={p}, q={q}", lambda p, q: Beta(q - 2, p - q)
+    ),
+    "chebyshev-u2-add": Family((), "", lambda: Beta(-_HALF, _HALF)),
+    "jacobi-mult": Family(
+        ("p", "q"), "p - q > 0 and q > 0, got p={p}, q={q}", lambda p, q: Beta(q - 1, p - q - 1)
+    ),
+    "chebyshev-u2-mult": Family((), "", lambda: Beta(_HALF, -_HALF)),
+    "uniform-symmetric": Family((), "", UniformSymmetric),
 }
 
 
@@ -373,27 +293,29 @@ class Weight:
         return self.weight_id
 
 
-def preset_weight(name_or_preset, **params) -> Weight:
+def preset_weight(name: str, **params) -> Weight:
     """Normalized Weight for a preset family, e.g. preset_weight("laguerre", gamma=1)."""
-    if isinstance(name_or_preset, Preset):
-        preset = name_or_preset
-    else:
-        try:
-            cls = PRESETS[name_or_preset]
-        except KeyError:
-            raise ConfigurationError(
-                f"unknown preset {name_or_preset!r}; choose from {sorted(PRESETS)}"
-            ) from None
-        preset = cls(**params)
-    label = preset.name
-    extra = [f"{k}={getattr(preset, k)}" for k in ("gamma", "p", "q") if hasattr(preset, k)]
-    if extra:
-        label += "[" + ",".join(extra) + "]"
+    try:
+        family = PRESETS[name]
+    except KeyError:
+        raise ConfigurationError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}") from None
+    if set(params) != set(family.params):
+        raise ConfigurationError(
+            f"{name} takes {', '.join(family.params) or 'no parameters'}, "
+            f"got {', '.join(params) or 'none'}"
+        )
+    values = {k: _fraction_param(params[k], k) for k in family.params}
+    body = family.body(**values)
+    if not body.admissible():
+        raise ConfigurationError(f"{name} requires " + family.requirement.format(**values))
+    label = name
+    if values:
+        label += "[" + ",".join(f"{k}={v}" for k, v in values.items()) + "]"
     return Weight(
-        interval=preset.interval(),
-        body=preset,
+        interval=body.interval(),
+        body=body,
         normalization=None,
-        endpoint_exponents=preset.exponents(),
+        endpoint_exponents=body.exponents(),
         weight_id=label,
     )
 

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from types import SimpleNamespace
 
 import mpmath
 import pytest
@@ -18,7 +19,6 @@ from orthoieq import (
     preset_weight,
     scalar_eq,
 )
-from orthoieq.numeric import tolerance
 from orthoieq.quadrature import integrate_expression
 
 from conftest import ALL_PRESETS, from_sympy, make_weight, sympy_to_float
@@ -63,6 +63,50 @@ class TestPresetValidation:
     def test_unknown_preset_name(self):
         with pytest.raises(ConfigurationError):
             preset_weight("hermite")
+
+    @pytest.mark.parametrize("name,params,message", [
+        ("laguerre", {"gamma": "1/2"}, "laguerre requires gamma >= 1, got 1/2"),
+        ("jacobi-add", {"p": 1, "q": 2},
+         "jacobi-add requires q > 1 and p - q > -1, got p=1, q=2"),
+        ("jacobi-mult", {"p": 1, "q": 1},
+         "jacobi-mult requires p - q > 0 and q > 0, got p=1, q=1"),
+    ])
+    def test_requirement_messages(self, name, params, message):
+        with pytest.raises(ConfigurationError) as err:
+            preset_weight(name, **params)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("name,params,message", [
+        ("laguerre", {}, "laguerre takes gamma, got none"),
+        ("jacobi-add", {"p": 3}, "jacobi-add takes p, q, got p"),
+        ("chebyshev-u2-add", {"p": 3}, "chebyshev-u2-add takes no parameters, got p"),
+    ])
+    def test_missing_or_unexpected_parameters(self, name, params, message):
+        with pytest.raises(ConfigurationError) as err:
+            preset_weight(name, **params)
+        assert str(err.value) == message
+
+
+# each Chebyshev preset is the Jacobi preset of the same form at (p, q) = (2, 3/2)
+CHEBYSHEV_AS_JACOBI = [
+    ("chebyshev-u2-add", "jacobi-add"),
+    ("chebyshev-u2-mult", "jacobi-mult"),
+]
+
+
+class TestChebyshevIsJacobi:
+    @pytest.mark.parametrize("chebyshev,jacobi", CHEBYSHEV_AS_JACOBI)
+    def test_exact_moments_equal(self, chebyshev, jacobi):
+        got = moments(preset_weight(chebyshev), 31, mode="exact")
+        want = moments(preset_weight(jacobi, p=2, q="3/2"), 31, mode="exact")
+        assert got.values == want.values
+
+    @pytest.mark.parametrize("p", [16, 30, 50, 77, 100])
+    @pytest.mark.parametrize("chebyshev,jacobi", CHEBYSHEV_AS_JACOBI)
+    def test_divisors_equal_bit_for_bit(self, chebyshev, jacobi, p):
+        ctx = PrecisionContext(p)
+        got = preset_weight(chebyshev).divisor(ctx)
+        assert got == preset_weight(jacobi, p=2, q="3/2").divisor(ctx)
 
 
 class TestNormalization:
@@ -114,6 +158,11 @@ def _sympy_ratio_product(a, b, n):
     return num / den
 
 
+def _params(params):
+    # the preset parameters as Fractions, read by the oracles as attributes
+    return SimpleNamespace(**{k: Fraction(v) for k, v in params.items()})
+
+
 # the sympy closed forms the presets used before their moments became Fractions
 # and their divisors mpmath values
 SYMPY_MOMENT = {
@@ -154,7 +203,7 @@ class TestClosedFormsMatchSympy:
         w = make_weight(name, params)
         exact = moments(w, 31, mode="exact")
         for n in range(31):
-            want = SYMPY_MOMENT[name](w.body, n)
+            want = SYMPY_MOMENT[name](_params(params), n)
             got = w.body.moment(n)
             assert type(got) is Fraction
             assert got == Fraction(int(want.p), int(want.q))
@@ -168,17 +217,17 @@ class TestClosedFormsMatchSympy:
         w = make_weight(name, params)
         got = w.divisor(ctx)
         assert type(got) is type(ctx.mp.mpf(0))
-        assert got == sympy_to_float(SYMPY_DIVISOR[name](w.body), ctx)
+        assert got == sympy_to_float(SYMPY_DIVISOR[name](_params(params)), ctx)
 
     @pytest.mark.parametrize("name,params", QUADRATURE_PRESETS)
     def test_quadrature_moments_divide_by_the_same_value(self, name, params, ctx50):
         w = make_weight(name, params)
         got = moments(w, 9, context=ctx50, method="quadrature")
-        norm = sympy_to_float(SYMPY_DIVISOR[name](w.body), ctx50)
+        norm = sympy_to_float(SYMPY_DIVISOR[name](_params(params)), ctx50)
         raw = integrate_expression(
             w.expression(), w.interval, ctx50,
             [(0, n) for n in range(9)],
-            endpoint_exponents=w.endpoint_exponents, target=tolerance(ctx50, 10),
+            endpoint_exponents=w.endpoint_exponents,
         )
         assert [v.value for v in got.values] == [r.value / norm for r, _err in raw]
 
