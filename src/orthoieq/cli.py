@@ -177,7 +177,15 @@ def weight_from_args(args, context):
     if args.contour:
         return contour_weight(args.winding)
     if args.preset:
-        params = {k: _rational(getattr(args, k), k) for k in PRESETS[args.preset].params}
+        takes = PRESETS[args.preset].params
+        stray = [f"--{k}" for k in ("gamma", "p", "q") if getattr(args, k) is not None
+                 and k not in takes]
+        if stray:
+            named = ", ".join(f"--{k}" for k in takes) or "no parameters"
+            raise ConfigurationError(
+                f"preset {args.preset} takes {named}, not {', '.join(stray)}"
+            )
+        params = {k: _rational(getattr(args, k), k) for k in takes}
         return preset_weight(args.preset, **params)
     if not args.interval:
         raise ConfigurationError("--expr needs --interval ALPHA BETA")

@@ -8,11 +8,20 @@ Both routes hinge on the Hankel matrices
 The degree-n solution exists iff det B_n != 0; the normalization factor is
 
     G_n = (det C_n)(det C_(n+1)) / (det B_n)^2 = <x P_n^2>.
+
+Exact solves take a third route. The conditions <x^k P_n> = delta_(k,0)
+say that P_n = pi_n / <pi_n>_w, pi_n being the monic orthogonal polynomial
+of the moments nu_j = m_(j+1) (those of x w(x)); the Chebyshev algorithm
+builds pi_n in O(n^2) exact operations (Gautschi, Orthogonal Polynomials:
+Computation and Approximation, 2004, section 2.1.7). Float moments, and
+exact ones on which the recurrence breaks down, take the dense solve of
+B_n a = e_0 (float power-moment recurrences are ill-conditioned).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .errors import (
     DegenerateDegreeError,
@@ -72,11 +81,20 @@ def hankel_condition(m, n: int, *, context: PrecisionContext | None = None):
 
 
 def solve_polynomial(m, n: int, *, context: PrecisionContext | None = None) -> Polynomial:
-    """Coefficients of the unique degree-n solution, from B_n a = e_0.
+    """Coefficients of the unique degree-n solution of B_n a = e_0.
 
-    An exact B_n is singular iff its elimination runs out of pivots, so only
-    float mode runs hankel_condition first, for its pivot-collapse check.
+    Exact moments go through the Chebyshev recurrence (recurrence_solve)
+    with nu_j = m_(j+1). Float moments, and exact ones on which it breaks
+    down, solve B_n densely: an exact B_n is singular iff its elimination
+    runs out of pivots, so only float mode runs hankel_condition first, for
+    its pivot-collapse check.
     """
+    _require(m, 2 * n + 1, f"HankelSystem(n={n})")
+    raw = exact_values(m, 2 * n + 1)
+    if raw is not None:
+        P = recurrence_solve(raw, raw[1:], n)
+        if P is not None:
+            return P
     system = HankelSystem.from_moments(m, n)
     exact = system.B[0][0].is_exact
     if not exact:
@@ -88,6 +106,51 @@ def solve_polynomial(m, n: int, *, context: PrecisionContext | None = None) -> P
     except SingularSystemError as exc:
         message = _singular_message(0, n) if exact else f"B_{n} system is singular: {exc}"
         raise SingularHankelError(message) from exc
+
+
+def exact_values(m, count):
+    """The raw values of m_0..m_(count-1) when all are exact, else None."""
+    values = [m[j] for j in range(count)]
+    if all(v.is_exact for v in values):
+        return [v.value for v in values]
+    return None
+
+
+def recurrence_solve(m, nu, n: int) -> Polynomial | None:
+    """pi_n / <pi_n>_w from raw exact values, or None on breakdown.
+
+    pi_n is the monic orthogonal polynomial of the functional L[x^j] = nu_j
+    (nu_0..nu_(2n-1)), built by the Chebyshev algorithm on
+    sigma_(k,l) = L[pi_k x^l]; <pi_n>_w = sum c_j m_j (m_0..m_n). The
+    algorithm breaks down when some sigma_(k,k) = 0 (k < n), i.e. some
+    Hankel determinant of nu vanishes; <pi_n>_w = 0 means det B_n = 0.
+    """
+    prev, pi = [], [Fraction(1)]
+    sigma_prev, sigma = [0] * len(nu), list(nu)  # sigma_(-1,l) = 0
+    ratio_prev, diag_prev = 0, 1
+    for k in range(n):
+        diag = sigma[k]
+        if not diag:
+            return None
+        ratio = sigma[k + 1] / diag
+        alpha, beta = ratio - ratio_prev, diag / diag_prev
+        # pi_(k+1) = (x - alpha) pi_k - beta pi_(k-1)
+        nxt = [0] + pi
+        for i, c in enumerate(pi):
+            nxt[i] = nxt[i] - alpha * c
+        for i, c in enumerate(prev):
+            nxt[i] = nxt[i] - beta * c
+        # sigma_(k+1,l) = sigma_(k,l+1) - alpha sigma_(k,l) - beta sigma_(k-1,l)
+        ahead = list(sigma)
+        for l in range(k + 1, 2 * n - k - 1):
+            ahead[l] = sigma[l + 1] - alpha * sigma[l] - beta * sigma_prev[l]
+        prev, pi = pi, nxt
+        sigma_prev, sigma = sigma, ahead
+        ratio_prev, diag_prev = ratio, diag
+    norm = sum(c * m[j] for j, c in enumerate(pi))
+    if not norm:
+        return None
+    return Polynomial([Scalar(c / norm) for c in pi])
 
 
 def _singular_message(det, n):

@@ -1,32 +1,46 @@
 """Dense linear algebra over Scalars, sized for Hankel systems (tens of rows).
 
-Solves use Gaussian elimination: exact systems take the first nonzero
-pivot (exact arithmetic gains nothing from magnitude pivoting), float
-systems pivot fully at working precision.
-Determinants use partially pivoted LU elimination in both modes; exact
-entries (Fraction or IPiFraction) keep every quotient exact, so the result is
-the exact determinant.
+Each routine unwraps its entries once and eliminates on the raw values:
+Fraction or IPiFraction when every entry is exact, otherwise mpmath
+numbers at the one float precision the entries share (exact entries are
+converted to it first, as Scalar arithmetic does, and two float
+precisions raise ModeError). Results are wrapped once at the end.
+
+Exact eliminations take the first nonzero pivot (exact arithmetic gains
+nothing from magnitude pivoting), so exact quotients stay exact and the
+determinant is exact. Float solves pivot fully and float determinants
+partially, by magnitude at working precision.
 """
 
 from __future__ import annotations
 
-from .errors import SingularSystemError
-from .numeric import Scalar
+from .errors import ModeError, SingularSystemError
+from .numeric import PrecisionContext, Scalar
+
+
+def _unwrap(rows):
+    """Raw entry values and the float precision they share (None when all are exact)."""
+    precisions = sorted({entry.precision for row in rows for entry in row} - {None})
+    if not precisions:
+        return [[entry.value for entry in row] for row in rows], None
+    if len(precisions) > 1:
+        raise ModeError(f"mixed float precisions {precisions[0]} and {precisions[1]}")
+    ctx = PrecisionContext(precisions[0])
+    return [[entry.to_float(ctx).value for entry in row] for row in rows], ctx.precision
 
 
 def solve_full_pivot(matrix, rhs):
     """Solve A x = b. Raises SingularSystemError when no pivot is available."""
     n = len(matrix)
-    a = [list(row) + [rhs[i]] for i, row in enumerate(matrix)]
+    a, precision = _unwrap([list(row) + [rhs[i]] for i, row in enumerate(matrix)])
+    fabs = None if precision is None else PrecisionContext(precision).mp.fabs
     col_of = list(range(n))  # col_of[j] = original column stored at position j
-    exact = all(entry.is_exact for row in matrix for entry in row)
     for step in range(n):
-        nonzero = ((r, c) for r in range(step, n) for c in range(step, n)
-                   if not a[r][c].is_zero())
-        if exact:
+        nonzero = ((r, c) for r in range(step, n) for c in range(step, n) if a[r][c])
+        if fabs is None:
             best = next(nonzero, None)
         else:
-            best = max(nonzero, key=lambda rc: a[rc[0]][rc[1]].magnitude(), default=None)
+            best = max(nonzero, key=lambda rc: fabs(a[rc[0]][rc[1]]), default=None)
         if best is None:
             raise SingularSystemError(f"no pivot at elimination step {step}")
         r, c = best
@@ -36,13 +50,14 @@ def solve_full_pivot(matrix, rhs):
             for row in a:
                 row[step], row[c] = row[c], row[step]
             col_of[step], col_of[c] = col_of[c], col_of[step]
-        pivot = a[step][step]
-        for r in range(step + 1, n):
-            if a[r][step].is_zero():
+        top = a[step]
+        pivot = top[step]
+        for row in a[step + 1:]:
+            if not row[step]:
                 continue
-            factor = a[r][step] / pivot
-            for c in range(step, n + 1):
-                a[r][c] = a[r][c] - factor * a[step][c]
+            factor = row[step] / pivot
+            for c in range(step + 1, n + 1):
+                row[c] = row[c] - factor * top[c]
     x = [None] * n
     for i in range(n - 1, -1, -1):
         acc = a[i][n]
@@ -51,7 +66,7 @@ def solve_full_pivot(matrix, rhs):
         x[i] = acc / a[i][i]
     out = [None] * n
     for pos, col in enumerate(col_of):
-        out[col] = x[pos]
+        out[col] = Scalar(x[pos], precision)
     return out
 
 
@@ -62,48 +77,48 @@ def determinant(matrix) -> Scalar:
 
 
 def det_lu_flag(matrix, rel_threshold):
-    """Partially pivoted LU determinant plus a pivot-collapse flag.
+    """LU determinant plus a pivot-collapse flag.
 
-    The matrix counts as numerically singular when some pivot falls to
+    A float matrix counts as numerically singular when some pivot falls to
     rel_threshold (an mpf) times the magnitude of the largest entry of the
     remaining submatrix: at that point the pivot is indistinguishable from
-    elimination noise. Pass rel_threshold=None to skip the check; the flag
-    then reports only a pivot column that is entirely zero, which for exact
-    entries happens exactly when the determinant is zero.
+    elimination noise. Pass rel_threshold=None to skip the check (exact
+    matrices never run it); the flag then reports only a pivot column that
+    is entirely zero, which for exact entries happens exactly when the
+    determinant is zero.
     """
-    a = [list(row) for row in matrix]
+    a, precision = _unwrap(matrix)
     n = len(a)
+    fabs = None if precision is None else PrecisionContext(precision).mp.fabs
     sign = 1
     det = None
     collapsed = False
     for i in range(n):
-        best = i
-        best_mag = a[i][i].magnitude()
-        for r in range(i + 1, n):
-            mag = a[r][i].magnitude()
-            if mag > best_mag:
-                best, best_mag = r, mag
-        if rel_threshold is not None:
-            sub_max = best_mag
-            for r in range(i, n):
-                for c in range(i, n):
-                    mag = a[r][c].magnitude()
-                    if mag > sub_max:
-                        sub_max = mag
-            if best_mag <= rel_threshold * max(1, sub_max):
-                collapsed = True
-        if a[best][i].is_zero():
-            zero = a[0][0] - a[0][0]
-            return zero, True
+        if fabs is None:
+            best = next((r for r in range(i, n) if a[r][i]), i)
+        else:
+            best = i
+            best_mag = fabs(a[i][i])
+            for r in range(i + 1, n):
+                mag = fabs(a[r][i])
+                if mag > best_mag:
+                    best, best_mag = r, mag
+            if rel_threshold is not None:
+                sub_max = max(max(fabs(v) for v in row[i:]) for row in a[i:])
+                if best_mag <= rel_threshold * max(1, sub_max):
+                    collapsed = True
+        if not a[best][i]:
+            return Scalar(a[0][0] - a[0][0], precision), True
         if best != i:
             a[i], a[best] = a[best], a[i]
             sign = -sign
-        pivot = a[i][i]
+        top = a[i]
+        pivot = top[i]
         det = pivot if det is None else det * pivot
-        for r in range(i + 1, n):
-            if a[r][i].is_zero():
+        for row in a[i + 1:]:
+            if not row[i]:
                 continue
-            factor = a[r][i] / pivot
+            factor = row[i] / pivot
             for c in range(i + 1, n):
-                a[r][c] = a[r][c] - factor * a[i][c]
-    return (-det if sign < 0 else det), collapsed
+                row[c] = row[c] - factor * top[c]
+    return Scalar(-det if sign < 0 else det, precision), collapsed

@@ -34,7 +34,7 @@ from .errors import (
     InsufficientMomentsError,
     SingularSystemError,
 )
-from .hankel import solve_e0, solve_polynomial, vanishes
+from .hankel import exact_values, recurrence_solve, solve_e0, solve_polynomial, vanishes
 from .linalg import solve_full_pivot
 from .moments import MomentSequence, generalized_moments, moments
 from .numeric import PrecisionContext, Scalar, scalar_eq, tolerance
@@ -400,7 +400,13 @@ def parity_measure_moments(m, N: int):
 
 
 def solve_linear_shift(m, n: int, a, b, *, context: PrecisionContext | None = None) -> Polynomial:
-    """Solve <(a+bx)^k P> = delta_(k,0) for k = 0..n."""
+    """Solve <(a+bx)^k P> = delta_(k,0) for k = 0..n.
+
+    For k >= 1 the conditions say that P is orthogonal to (a+bx) Pi_(n-1),
+    so exact moments go through the recurrence on the measure (a+bx) w,
+    nu_j = a m_j + b m_(j+1); float moments, and exact ones on which it
+    breaks down, solve the table <(a+bx)^k x^j> densely.
+    """
     a = _scalarize(a)
     b = _scalarize(b)
     if b.is_zero():
@@ -409,6 +415,12 @@ def solve_linear_shift(m, n: int, a, b, *, context: PrecisionContext | None = No
         raise InsufficientMomentsError(
             f"degree {n} needs m_0..m_{2 * n}, got {len(m)} moments"
         )
+    raw = exact_values(m, 2 * n + 1)
+    if raw is not None and a.is_exact and b.is_exact:
+        nu = [a.value * raw[j] + b.value * raw[j + 1] for j in range(2 * n)]
+        P = recurrence_solve(raw, nu, n)
+        if P is not None:
+            return P
     return solve_e0(
         power_table([a, b], n, m, n + 1),
         f"leading coefficient vanished for shift (a={a}, b={b}) at degree {n}",

@@ -212,6 +212,18 @@ class TestExitCodesAndReproducibility:
     def test_usage_error_is_2(self, capsys):
         assert main(["moments"]) == 2  # no weight chosen
 
+    @pytest.mark.parametrize("flags,message", [
+        (["--preset", "chebyshev-u2-add", "--gamma", "3", "-n", "1"],
+         "preset chebyshev-u2-add takes no parameters, not --gamma"),
+        (["--preset", "laguerre", "--gamma", "1", "--p", "3", "-n", "1", "--mode", "exact"],
+         "preset laguerre takes --gamma, not --p"),
+    ])
+    def test_stray_preset_parameter_is_2(self, capsys, flags, message):
+        code, out, err = run_cli(capsys, "poly", *flags)
+        assert code == 2
+        assert out == ""
+        assert message in err
+
     def test_low_precision_rejected(self, capsys):
         code, _, _ = run_cli(
             capsys, "moments", "--preset", "laguerre", "--gamma", "1",

@@ -5,6 +5,7 @@ import pytest
 import sympy as sp
 
 from orthoieq import (
+    DegenerateDegreeError,
     HankelSystem,
     InsufficientMomentsError,
     MomentSequence,
@@ -20,9 +21,14 @@ from orthoieq import (
     polynomial_via_determinants,
     preset_weight,
     scalar_eq,
+    solve_linear_shift,
     solve_polynomial,
 )
+from orthoieq import hankel
+from orthoieq.hankel import recurrence_solve, solve_e0
 from orthoieq.linalg import determinant
+from orthoieq.numeric import IPiFraction
+from orthoieq.polynomials import power_table
 
 from conftest import ADDITIVE_PRESETS, from_sympy, make_weight
 
@@ -160,9 +166,15 @@ class TestHankelCondition:
             polynomial_via_determinants(m, 1)
 
     def test_delta_moments_singular_in_exact_solve(self):
+        # a point mass at 1: C_1 = (m_1) = (1) is regular, but pi_1 = x - 1
+        # has <pi_1>_w = 0, so the recurrence gives way to the dense solve
         m = MomentSequence.from_values([1, 1, 1])
-        with pytest.raises(SingularHankelError, match=r"det B_1 = 0 is zero"):
+        assert recurrence_solve([Fraction(1)] * 3, [Fraction(1)] * 2, 1) is None
+        with pytest.raises(SingularHankelError) as err:
             solve_polynomial(m, 1)
+        assert str(err.value) == (
+            "det B_1 = 0 is zero (or below the validity threshold); no degree-1 solution"
+        )
 
     def test_exact_solve_pivots_past_zero_entries(self, ctx50):
         # m_2 = m_1^2 leaves a zero at (1, 1) after the first elimination step
@@ -311,3 +323,64 @@ class TestDeterminantMatchesBareiss:
         assert det.is_exact and det == Scalar.exact(0) and valid is False
         with pytest.raises(SingularHankelError, match=rf"det B_{n} = 0 is zero"):
             solve_polynomial(m, n)
+
+
+# -- exact solves by the Chebyshev recurrence ---------------------------------
+
+
+def dense_solution(m, n):
+    """The dense route: B_n a = e_0 by elimination."""
+    return solve_e0([list(row) for row in HankelSystem.from_moments(m, n).B],
+                    f"solved leading coefficient a_{n},{n} vanished; no degree-{n} solution")
+
+
+class TestRecurrenceMatchesDenseSolve:
+    @pytest.mark.parametrize("name,params", [
+        ("laguerre", {"gamma": 1}),
+        ("jacobi-add", {"p": 3, "q": 2}),
+        ("chebyshev-u2-add", {}),
+        ("jacobi-mult", {"p": 3, "q": 2}),
+    ])
+    def test_presets_to_20(self, name, params):
+        m = moments(make_weight(name, params), 41, mode="exact")
+        for n in range(21):
+            assert solve_polynomial(m, n).coeffs == dense_solution(m, n).coeffs
+
+    @pytest.mark.parametrize("winding", [0, 1])
+    def test_contour_to_10(self, winding):
+        m = contour_moments(winding, 21, mode="exact")
+        for n in range(11):
+            P = solve_polynomial(m, n)
+            assert P.coeffs == dense_solution(m, n).coeffs
+            assert any(isinstance(c.value, IPiFraction) for c in P.coeffs) == bool(n % 2)
+
+    def test_exact_solves_skip_the_dense_route(self, monkeypatch):
+        def no_dense_solve(matrix, rhs):
+            raise AssertionError("the dense solve ran")
+
+        m = moments(preset_weight("laguerre", gamma=1), 41, mode="exact")
+        want = dense_solution(m, 20).coeffs
+        shift = [Scalar.exact(Fraction(3, 2)), Scalar.exact(2)]
+        want_shift = solve_e0(power_table(shift, 15, m, 16), "degenerate").coeffs
+        monkeypatch.setattr(hankel, "solve_full_pivot", no_dense_solve)
+        with pytest.raises(AssertionError, match="the dense solve ran"):
+            dense_solution(m, 2)
+        assert solve_polynomial(m, 20).coeffs == want
+        assert solve_linear_shift(m, 15, *shift).coeffs == want_shift
+
+
+class TestRecurrenceFallback:
+    def test_uniform_symmetric_falls_back_to_the_dense_solve(self):
+        m = moments(preset_weight("uniform-symmetric"), 21, mode="exact")
+        raw = [v.value for v in m.values]
+        for n in range(11):
+            if n:
+                assert recurrence_solve(raw, raw[1:], n) is None  # m_1 = 0: sigma_00 = 0
+            if n % 2:
+                with pytest.raises(DegenerateDegreeError) as err:
+                    solve_polynomial(m, n)
+                assert str(err.value) == (
+                    f"solved leading coefficient a_{n},{n} vanished; no degree-{n} solution"
+                )
+            else:
+                assert solve_polynomial(m, n).coeffs == dense_solution(m, n).coeffs

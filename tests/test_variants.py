@@ -34,7 +34,9 @@ from orthoieq import (
     variants,
     verify,
 )
+from orthoieq.hankel import solve_e0
 from orthoieq.linalg import solve_full_pivot
+from orthoieq.polynomials import power_table
 
 from conftest import from_sympy
 
@@ -505,6 +507,19 @@ class TestShiftMatrixAgainstNestedLoop:
                     assert got == tuple(want)
                 else:
                     assert [c.value for c in got] == [c.value for c in want]
+
+
+class TestShiftRecurrenceMatchesDenseSolve:
+    """Exact shift solves run the recurrence on nu_j = a m_j + b m_(j+1); the
+    dense route solves the table <(a+bx)^k x^j>."""
+
+    @pytest.mark.parametrize("a,b", [(Fraction(3, 2), 2), (Fraction(-1, 3), Fraction(1, 2))])
+    def test_laguerre_to_15(self, a, b):
+        m = moments(preset_weight("laguerre", gamma=1), 31, mode="exact")
+        g = [Scalar.exact(a), Scalar.exact(b)]
+        for n in range(16):
+            want = solve_e0(power_table(g, n, m, n + 1), "degenerate")
+            assert solve_linear_shift(m, n, a, b).coeffs == want.coeffs
 
 
 class TestShiftIsFunctionalOfLinearF:
