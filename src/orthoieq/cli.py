@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -167,7 +168,7 @@ def _rational(text, name):
     try:
         return Fraction(text)
     except ValueError:
-        raise ConfigurationError(f"--{name} must be rational, got {text!r}") from None
+        raise ConfigurationError(f"--{name} must be rational, got {text.strip()!r}") from None
 
 
 def weight_from_args(args, context):
@@ -203,32 +204,34 @@ def emit(records, fmt, context, stream=None):
         for record in records:
             stream.write(json.dumps(record, separators=(", ", ": ")) + "\n")
     elif fmt == "csv":
-        for line in _csv_lines(records):
-            stream.write(line + "\n")
+        import csv  # deferred: only csv output needs it
+
+        csv.writer(stream, lineterminator="\n").writerows(_csv_rows(records))
     else:
         for record in records:
             stream.write(_pretty_block(record, context) + "\n")
 
 
-def _csv_lines(records):
-    lines = []
+def _csv_rows(records):
+    rows = []
     for record in records:
         if "moments" in record:
-            lines.append("index,re_or_num,im_or_den,error_estimate")
+            rows.append(["index", "re_or_num", "im_or_den", "error_estimate"])
             ests = record.get("error_estimates") or [None] * len(record["moments"])
             for i, (mval, e) in enumerate(zip(record["moments"], ests)):
-                a, b = _scalar_cols(mval)
-                lines.append(f"{i},{a},{b},{_scalar_cols(e)[0] if e else ''}")
+                rows.append([i, *_scalar_cols(mval), _scalar_cols(e)[0]])
         elif "coefficients" in record:
-            lines.append("power,re_or_num,im_or_den")
+            rows.append(["power", "re_or_num", "im_or_den"])
             for k, c in enumerate(record["coefficients"]):
-                a, b = _scalar_cols(c)
-                lines.append(f"{k},{a},{b}")
+                rows.append([k, *_scalar_cols(c)])
         else:
             keys = sorted(record)
-            lines.append(",".join(keys))
-            lines.append(",".join(str(record[k]) for k in keys))
-    return lines
+            rows.append(keys)
+            # a nested field is one compact JSON field; csv quotes what needs it
+            rows.append([json.dumps(record[k], separators=(",", ":"))
+                         if isinstance(record[k], (dict, list)) else str(record[k])
+                         for k in keys])
+    return rows
 
 
 def _scalar_cols(obj):
@@ -503,20 +506,26 @@ def cmd_verify(args, context) -> int:
     return EXIT_OK if report.passed else EXIT_VERIFY
 
 
-def _interval_values(argv):
-    """argparse reads a bare -inf or -oo as an option flag; a leading space
-    keeps each --interval value a value (Interval strips it)."""
+_SIGNED_FLAGS = {"--interval": 2, "--a": 1, "--b": 1, "--gamma": 1, "--p": 1, "--q": 1}
+_SIGNED = re.compile(r"-([\d.]|(inf|oo)$)")
+
+
+def _signed_values(argv):
+    """argparse reads a bare -1/3 or -inf as an option flag; a leading space
+    keeps each signed value of a flag that takes a number a value (Fraction
+    and Interval strip it). An option token after the flag stays an option."""
     argv = list(sys.argv[1:] if argv is None else argv)
     for i, token in enumerate(argv):
-        if token == "--interval":
-            argv[i + 1:i + 3] = [f" {t}" if t in ("-inf", "-oo") else t for t in argv[i + 1:i + 3]]
+        for j in range(i + 1, i + 1 + _SIGNED_FLAGS.get(token, 0)):
+            if j < len(argv) and _SIGNED.match(argv[j]):
+                argv[j] = " " + argv[j]
     return argv
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(_interval_values(argv))
+        args = parser.parse_args(_signed_values(argv))
     except SystemExit as exc:
         return int(exc.code) if exc.code else EXIT_OK
     try:

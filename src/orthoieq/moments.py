@@ -1,14 +1,16 @@
 """Moments m_n = <x^n> of a weight, and generalized moments <f(x)^k x^j>.
 
-Presets and contours have closed forms (exact rationals for presets,
-rationals over i pi for contours). Expression weights are integrated
-numerically with per-entry error estimates.
+Every table comes from one of two places. Presets and contours have
+closed forms on their bodies (exact rationals for presets, rationals over
+i pi for contours); float mode rounds those exact values once to p
+digits. Expression weights, and tables no polynomial contraction reaches,
+are integrated numerically by Weight.integrals, every entry on one node
+set with its own error estimate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import expressions as ex
 from .errors import (
@@ -18,10 +20,10 @@ from .errors import (
     ModeError,
     QuadratureError,
 )
-from .numeric import PrecisionContext, Scalar, mp_context, scalar_eq, tolerance
+from .numeric import PrecisionContext, Scalar, scalar_eq, tolerance
 from .polynomials import power_table
-from .quadrature import _EVAL_ERRORS, integrate_expression, working_context
-from .weights import Contour, Weight
+from .quadrature import _EVAL_ERRORS, working_context
+from .weights import Weight, contour_weight
 
 
 @dataclass(frozen=True)
@@ -75,74 +77,39 @@ def moments(w: Weight, count: int, *, mode: str = "float",
     if mode not in ("float", "exact"):
         raise ConfigurationError(f"mode must be 'float' or 'exact', got {mode!r}")
     context = context or PrecisionContext()
+    if w.is_contour and method == "quadrature":
+        raise ConfigurationError("contour moments have no quadrature form")
 
-    if w.is_contour:
-        if method == "quadrature":
-            raise ConfigurationError("contour moments have no quadrature form")
-        return contour_moments(w.body.winding, count, mode=mode, context=context)
-
-    if w.is_preset and method != "quadrature":
-        exact_values = [Scalar.exact(w.body.moment(n)) for n in range(count)]
-        if mode == "exact":
-            values = exact_values
-        else:
-            values = [v.to_float(context) for v in exact_values]
-        return MomentSequence(tuple(values), "analytic", w.weight_id)
+    if w.is_contour or w.is_preset and method != "quadrature":
+        values = [Scalar.exact(w.body.moment(n)) for n in range(count)]
+        if mode == "float":
+            values = [v.to_float(context) for v in values]
+        return MomentSequence(tuple(values), "contour" if w.is_contour else "analytic",
+                              w.weight_id)
 
     if mode == "exact":
         raise ModeError("exact moments need an analytic form; expression weights are numeric")
-    return _quadrature_moments(w, count, context)
-
-
-def _quadrature_moments(w: Weight, count: int, context: PrecisionContext) -> MomentSequence:
-    norm = w.divisor(context)
-    entries = integrate_expression(
-        w.expression(), w.interval, context,
-        [(0, n) for n in range(count)],
-        endpoint_exponents=w.endpoint_exponents,
+    entries = w.integrals(
+        context, [(0, n) for n in range(count)],
         wrap_error=lambda n, exc: QuadratureError(
             f"moment m_{n} of {w.weight_id}: {exc}", worst_index=n
         ),
     )
-    values = tuple(Scalar(raw.value / norm, context.precision) for raw, _err in entries)
-    estimates = tuple(Scalar(err.value / abs(norm), context.precision) for _raw, err in entries)
+    values, estimates = zip(*entries)
     return MomentSequence(values, "quadrature", w.weight_id, error_estimates=estimates)
 
 
 def contour_moments(winding: int, count: int, *, mode: str = "float",
                     context: PrecisionContext | None = None) -> MomentSequence:
-    """Closed-form moments of the winding-k contour weight 1/(c x), c = i pi (2k+1).
-
-    m_0 = 1 and m_n = (1 - (-1)^n) / (n c) for n >= 1: the integrand of
-    m_n is entire for n >= 1 so the path collapses to the real axis, and
-    only the normalizing constant c remembers the winding number.
-    """
+    """Closed-form moments of the winding-k contour weight 1/(c x), c = i pi (2k+1)
+    (weights.Contour.moment); float mode rounds the exact values once."""
     if count < 1:
         raise ConfigurationError("count must be at least 1 (m_0)")
-    contour = Contour(winding)  # validates winding >= 0
-    context = context or PrecisionContext()
-    if mode == "exact":
-        c = contour.constant()
-        values = (Scalar.exact(1),) + tuple(
-            Scalar.exact(Fraction(2, n)) / c if n % 2 else Scalar.exact(0)
-            for n in range(1, count)
-        )
-    elif mode == "float":
-        # odd m_n = -2i / (n (2k+1) pi), formed at p+10 digits and rounded once to p
-        mp, work = context.mp, mp_context(context.precision + 10)
-        values = tuple(
-            Scalar(mp.mpc(0, -2 / (n * (2 * winding + 1) * work.pi)) if n % 2
-                   else mp.mpf(1 if n == 0 else 0), context.precision)
-            for n in range(count)
-        )
-    else:
-        raise ConfigurationError(f"mode must be 'float' or 'exact', got {mode!r}")
-    return MomentSequence(values, "contour", f"contour[k={winding}]")
+    return moments(contour_weight(winding), count, mode=mode, context=context)
 
 
 def generalized_moments(w: Weight, f, kmax: int, jmax: int, *,
-                        context: PrecisionContext | None = None,
-                        plain: MomentSequence | None = None):
+                        context: PrecisionContext | None = None):
     """Matrix M[k][j] = <f(x)^k x^j> for k <= kmax, j <= jmax.
 
     Polynomial f (including the identity) contracts exactly against plain
@@ -158,11 +125,9 @@ def generalized_moments(w: Weight, f, kmax: int, jmax: int, *,
         raise ConstantFunctionError(f"f = {ex.to_text(f)} is constant")
 
     if poly is not None:
-        deg_f = len(poly) - 1
-        need = deg_f * kmax + jmax + 1
-        if plain is None or len(plain) < need:
-            plain = moments(w, need, mode="exact" if w.is_preset or w.is_contour else "float",
-                            context=context)
+        need = (len(poly) - 1) * kmax + jmax + 1
+        plain = moments(w, need, mode="exact" if w.is_preset or w.is_contour else "float",
+                        context=context)
         return power_table(poly, kmax, plain, jmax + 1)
 
     _reject_constant_f(f, w, context)
@@ -174,25 +139,18 @@ def generalized_moments(w: Weight, f, kmax: int, jmax: int, *,
             f"generalized moment <f^{k} x^{j}> of {w.weight_id}: {exc}", worst_index=(k, j)
         )
 
-    norm = w.divisor(context)
-    entries = integrate_expression(
-        w.expression(), w.interval, context,
-        [(k, j) for k in range(kmax + 1) for j in range(width)],
+    entries = w.integrals(
+        context, [(k, j) for k in range(kmax + 1) for j in range(width)],
         shared=ex.compile_float(f, working_context(context.precision)),
-        endpoint_exponents=w.endpoint_exponents,
         wrap_error=entry_error,
     )
-    values = [Scalar(raw.value / norm, context.precision) for raw, _err in entries]
+    values = [value for value, _err in entries]
     return [values[k * width:(k + 1) * width] for k in range(kmax + 1)]
 
 
 def _reject_constant_f(f, w, context):
-    interval = w.interval
-    lo = interval.alpha if interval.alpha_finite else (interval.beta - 2 if interval.beta_finite else -1)
-    hi = interval.beta if interval.beta_finite else (interval.alpha + 2 if interval.alpha_finite else 1)
     mp = context.mp
-    lo_f = mp.mpf(Fraction(lo).numerator) / Fraction(lo).denominator
-    hi_f = mp.mpf(Fraction(hi).numerator) / Fraction(hi).denominator
+    lo_f, hi_f = (mp.mpf(end.numerator) / end.denominator for end in w.interval.sample_span())
     samples = []
     for i in range(1, 10):
         t = lo_f + (hi_f - lo_f) * i / 10
@@ -206,5 +164,5 @@ def _reject_constant_f(f, w, context):
     scale = max(mp.mpf(1), max(abs(s) for s in samples))
     if spread <= scale * tolerance(context, context.precision // 2):
         raise ConstantFunctionError(
-            f"f = {ex.to_text(f)} is constant on {interval} to working tolerance"
+            f"f = {ex.to_text(f)} is constant on {w.interval} to working tolerance"
         )

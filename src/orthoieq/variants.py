@@ -46,7 +46,7 @@ from .polynomials import (
     multiplicative_image,
     power_table,
 )
-from .quadrature import integrate_expression, working_context
+from .quadrature import working_context
 from .weights import Weight
 
 
@@ -139,15 +139,7 @@ class VerificationReport:
 def default_samples(interval, *, seed: int = 0, mode: str = "float",
                     context: PrecisionContext | None = None):
     """7 reproducible sample points: clipped endpoints, midpoint, 4 seeded randoms."""
-    lo = interval.alpha if interval.alpha_finite else None
-    hi = interval.beta if interval.beta_finite else None
-    if lo is None and hi is None:
-        lo, hi = Fraction(-1), Fraction(1)
-    elif lo is None:
-        lo = Fraction(hi) - 2
-    elif hi is None:
-        hi = Fraction(lo) + 2
-    lo, hi = Fraction(lo), Fraction(hi)
+    lo, hi = interval.sample_span()
     rng = random.Random(seed)
     points = [lo, (lo + hi) / 2, hi]
     for _ in range(4):
@@ -277,14 +269,8 @@ def _f_of_p_moments(P, w, f, kmax, context):
             acc = acc * x + c
         return f_at(acc)
 
-    norm = w.divisor(context)
-    entries = integrate_expression(
-        w.expression(), w.interval, context,
-        [(1, j) for j in range(kmax + 1)],
-        shared=f_of_p,
-        endpoint_exponents=w.endpoint_exponents,
-    )
-    return [Scalar(raw.value / norm, context.precision) for raw, _err in entries]
+    entries = w.integrals(context, [(1, j) for j in range(kmax + 1)], shared=f_of_p)
+    return [value for value, _err in entries]
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,12 @@ jacobi-mult(p, q) has (q-1, p-q-1), chebyshev-u2-add (-1/2, 1/2) and
 chebyshev-u2-mult (1/2, -1/2). PRESETS maps each preset name to its
 parameters, their range and its body.
 
-Preset moments are rational and computed with Fraction. A preset's
-divisor (Gamma, Beta or 2) is needed only to divide quadrature results,
-so it is an mpmath value made at the working precision. A contour's
-divisor i pi (2k+1) is an exact Scalar.
+Preset moments are rational (Fraction), contour moments rational over
+i pi (numeric.IPiFraction); each body gives them in closed form. A
+preset's divisor (Gamma, Beta or 2) only divides the results of
+Weight.integrals, the one numerical integral of a body, so it is an
+mpmath value made at the working precision. A contour's divisor i pi
+(2k+1) is an exact Scalar.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from fractions import Fraction
 from . import expressions as ex
 from .errors import ConfigurationError, IntegrabilityError, NormalizationError
 from .numeric import I_PI, PrecisionContext, Scalar, mp_context, tolerance
+from .quadrature import integrate_expression
 
 INF = math.inf
 
@@ -70,6 +73,13 @@ class Interval:
     @property
     def finite(self) -> bool:
         return self.alpha_finite and self.beta_finite
+
+    def sample_span(self):
+        """(lo, hi) with an infinite end clipped 2 from the other end, (-1, 1) if both are."""
+        if not self.alpha_finite:
+            hi = self.beta if self.beta_finite else Fraction(1)
+            return hi - 2, hi
+        return self.alpha, self.beta if self.beta_finite else self.alpha + 2
 
     def __str__(self):
         return f"({self.alpha}, {self.beta})"
@@ -235,7 +245,7 @@ class Contour:
 
     Body 1/(c x) with c = i pi (2k+1); m0 = 1 by construction, so the
     normalization constant is c itself. The weight is never sampled
-    pointwise; its moments come in closed form.
+    pointwise; its moments come in closed form (moment).
     """
 
     winding: int
@@ -246,6 +256,13 @@ class Contour:
 
     def constant(self) -> Scalar:
         return I_PI * (2 * self.winding + 1)
+
+    def moment(self, n):
+        """m_0 = 1 and m_n = (1 - (-1)^n) / (n c): for n >= 1 the integrand is
+        entire, so the path collapses to the real axis and only c keeps k."""
+        if n == 0:
+            return Fraction(1)
+        return Fraction(2, n) / self.constant().value if n % 2 else Fraction(0)
 
 
 # ---------------------------------------------------------------------------
@@ -288,6 +305,18 @@ class Weight:
         if self.is_preset:
             return ex.parse_expression(self.body.raw_text())
         return self.body
+
+    def integrals(self, context: PrecisionContext, factors, *, shared=None, wrap_error=None):
+        """(value, error estimate) of <shared^k x^j> per factor (k, j), all on one
+        node set (quadrature.integrate_expression), divided by the divisor."""
+        norm = self.divisor(context)
+        entries = integrate_expression(
+            self.expression(), self.interval, context, factors, shared=shared,
+            endpoint_exponents=self.endpoint_exponents, wrap_error=wrap_error,
+        )
+        p = context.precision
+        return [(Scalar(raw.value / norm, p), Scalar(err.value / abs(norm), p))
+                for raw, err in entries]
 
     def __str__(self):
         return self.weight_id
@@ -368,8 +397,6 @@ def normalize(w: Weight, context: PrecisionContext | None = None) -> Weight:
     """
     if w.is_normalized:
         return w  # presets and contours are constructed normalized
-    from .quadrature import integrate_expression  # deferred: quadrature imports weights
-
     context = context or PrecisionContext()
     [(total, err)] = integrate_expression(
         w.body, w.interval, context, endpoint_exponents=w.endpoint_exponents

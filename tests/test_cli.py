@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 from fractions import Fraction
 
@@ -370,3 +372,120 @@ class TestContourFunctionalCheck:
                                         PrecisionContext(50), None)
         assert summary["form"] == "moment-conditions"
         assert summary["pass"] is False and summary["max_residual"] != "0.0"
+
+
+class TestSignedValues:
+    """A value such as -1/3 or -inf after --interval, --a, --b, --gamma, --p or
+    --q is read as a value, as its --flag=value form is."""
+
+    @pytest.mark.parametrize("bare,joined", [
+        (["poly", "--preset", "jacobi-add", "--p", "3", "--q", "2", "-n", "5",
+          "--variant", "shift", "--a", "-1/3", "--b", "1/2", "--mode", "exact"],
+         ["poly", "--preset", "jacobi-add", "--p", "3", "--q", "2", "-n", "5",
+          "--variant", "shift", "--a=-1/3", "--b", "1/2", "--mode", "exact"]),
+        (["moments", "--expr", "1+x", "--interval", "-1/2", "1/2", "--count", "3"],
+         ["moments", "--expr", "1+x", "--interval", " -1/2", "1/2", "--count", "3"]),
+        (["poly", "--preset", "laguerre", "--gamma", "-1/2", "-n", "1"],
+         ["poly", "--preset", "laguerre", "--gamma=-1/2", "-n", "1"]),
+        (["poly", "--preset", "jacobi-mult", "--p", "2", "--q", "1", "-n", "1",
+          "--variant", "shift", "--a", "1", "--b", "-.5", "--mode", "exact"],
+         ["poly", "--preset", "jacobi-mult", "--p", "2", "--q", "1", "-n", "1",
+          "--variant", "shift", "--a", "1", "--b=-.5", "--mode", "exact"]),
+    ], ids=["shift-a", "interval", "gamma", "decimal-b"])
+    def test_bare_value_matches_joined_form(self, capsys, bare, joined):
+        code, out, err = run_cli(capsys, *bare)
+        assert (code, out, err) == run_cli(capsys, *joined)
+        assert "expected" not in err
+
+    def test_gamma_out_of_range_reaches_the_range_check(self, capsys):
+        code, out, err = run_cli(capsys, "poly", "--preset", "laguerre", "--gamma", "-1/2",
+                                 "-n", "1")
+        assert (code, out) == (2, "")
+        assert err == "error: laguerre requires gamma >= 1, got -1/2\n"
+
+    def test_an_option_after_the_flag_stays_an_option(self, capsys):
+        code, out, err = run_cli(capsys, "poly", "--preset", "laguerre", "--gamma", "-n", "1")
+        assert (code, out) == (2, "")
+        assert "argument --gamma: expected one argument" in err
+
+
+class TestOutputFormats:
+    """Bytes of the csv and pretty formats for each kind of record."""
+
+    def test_pretty_moments_record(self, capsys):
+        code, out, _ = run_cli(capsys, "moments", "--preset", "laguerre", "--gamma", "1",
+                               "--count", "3", "--mode", "exact", "--format", "pretty")
+        assert code == 0
+        assert out == ("moments of laguerre[gamma=1] (analytic):\n"
+                       "  m_0 = 1\n  m_1 = 1\n  m_2 = 2\n")
+
+    def test_pretty_exact_poly_record(self, capsys):
+        code, out, _ = run_cli(capsys, "poly", "--preset", "laguerre", "--gamma", "3/2",
+                               "-n", "2", "--mode", "exact", "--format", "pretty")
+        assert code == 0
+        assert out == (
+            "degree 2 on laguerre[gamma=3/2] [additive]:\n"
+            "  P(x) = (1/2)*x^2 + (-7/2)*x + (35/8)\n"
+            "  G = 105/16\n"
+            "  det B = 45/4 (valid: True)\n"
+            "  verify[additive]: pass=True max_residual=0.0\n"
+        )
+
+    def test_pretty_float_contour_record(self, capsys):
+        code, out, _ = run_cli(capsys, "poly", "--contour", "-n", "1", "--format", "pretty")
+        assert code == 0
+        assert out == (
+            "degree 1 on contour[k=0] [additive]:\n"
+            "  P(x) = (0.0 + 1.5708i)*x + (0.0)\n"
+            "  G = 0.0 + 0.523599i\n"
+            "  det B = 0.405285 (valid: True)\n"
+            "  verify[moment-conditions]: pass=True max_residual=0.0\n"
+        )
+
+    def test_csv_coefficient_record(self, capsys):
+        code, out, _ = run_cli(capsys, "poly", "--preset", "laguerre", "--gamma", "3/2",
+                               "-n", "2", "--mode", "exact", "--format", "csv")
+        assert code == 0
+        assert out == "power,re_or_num,im_or_den\n0,35,8\n1,-7,2\n2,1,2\n"
+
+    def _assert_csv_matches_json(self, capsys, argv):
+        code, out, _ = run_cli(capsys, *argv)
+        record = first_record(out)
+        csv_code, csv_out, _ = run_cli(capsys, *argv, "--format", "csv")
+        assert csv_code == code
+        rows = list(csv.reader(io.StringIO(csv_out)))
+        assert len(rows) == 2
+        header, row = rows
+        assert header == sorted(record) and len(row) == len(header)
+        for key, field in zip(header, row):
+            if isinstance(record[key], (dict, list)):
+                assert json.loads(field) == record[key]
+            else:
+                assert field == str(record[key])
+
+    def test_csv_nested_verify_record(self, capsys, tmp_path):
+        _, out, _ = run_cli(capsys, "poly", "--preset", "laguerre", "--gamma", "1", "-n", "2",
+                            "--mode", "exact")
+        poly_file = tmp_path / "p2.json"
+        poly_file.write_text(out.splitlines()[0])
+        self._assert_csv_matches_json(capsys, [
+            "verify", "--preset", "laguerre", "--gamma", "1", "--poly-file", str(poly_file),
+            "--mode", "exact",
+        ])
+
+    def test_csv_nested_enumerate_record(self, capsys):
+        self._assert_csv_matches_json(capsys, [
+            "poly", "--preset", "jacobi-mult", "--p", "2", "--q", "1", "-n", "2",
+            "--variant", "multiplicative", "--enumerate", "--mode", "exact",
+        ])
+
+
+def test_exact_contour_multiplicative_meets_its_moment_conditions(capsys):
+    code, out, _ = run_cli(capsys, "poly", "--contour", "-n", "2", "--variant",
+                           "multiplicative", "--mode", "exact")
+    assert code == 0
+    record = first_record(out)
+    assert record["pattern"] == [0, 1]
+    assert record["coefficients"][0] == {"num": "-2", "den": "1"}
+    assert record["verification"] == {"form": "moment-conditions", "max_residual": "0.0",
+                                      "pass": True}

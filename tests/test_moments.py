@@ -12,6 +12,7 @@ from orthoieq import (
     QuadratureError,
     Scalar,
     contour_moments,
+    contour_weight,
     generalized_moments,
     moments,
     parse_weight,
@@ -150,8 +151,8 @@ class TestContourMoments:
     @pytest.mark.parametrize("precision", [16, 30, 77, 100])
     @pytest.mark.parametrize("winding", [0, 1])
     def test_float_mode_equals_rounded_closed_form(self, precision, winding):
-        # float moments come from mpmath; they must be the sympy closed form
-        # rounded to p digits, bit for bit and of the same type
+        # float moments are the exact closed form rounded once; they must be
+        # the sympy closed form rounded to p digits, bit for bit and of the same type
         ctx = with_precision(precision)
         got = contour_moments(winding, 40, context=ctx)
         c = sp.I * sp.pi * (2 * winding + 1)
@@ -163,11 +164,38 @@ class TestContourMoments:
             assert got[n].precision == precision
 
 
+    @pytest.mark.parametrize("call,error,text", [
+        (lambda: contour_moments(0, 0), ConfigurationError, "count must be at least 1 (m_0)"),
+        (lambda: contour_moments(-1, 3), ConfigurationError,
+         "winding must be an integer >= 0, got -1"),
+        (lambda: contour_moments(0, 3, mode="fast"), ConfigurationError,
+         "mode must be 'float' or 'exact', got 'fast'"),
+        (lambda: moments(contour_weight(0), 3, method="quadrature"), ConfigurationError,
+         "contour moments have no quadrature form"),
+    ])
+    def test_rejections_keep_their_type_and_text(self, call, error, text):
+        with pytest.raises(error) as info:
+            call()
+        assert type(info.value) is error
+        assert str(info.value) == text
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    @pytest.mark.parametrize("winding", [0, 1])
+    def test_weight_moments_equal_contour_moments(self, winding, mode, ctx50):
+        via_weight = moments(contour_weight(winding), 9, mode=mode, context=ctx50)
+        direct = contour_moments(winding, 9, mode=mode, context=ctx50)
+        assert via_weight == direct
+        assert via_weight.source == direct.source == "contour"
+        assert via_weight.weight_id == direct.weight_id == f"contour[k={winding}]"
+        for a, b in zip(via_weight.values, direct.values):
+            assert type(a.value) is type(b.value) and a.precision == b.precision
+
+
 class TestGeneralizedMoments:
     def test_identity_reduces_to_plain(self):
         w = preset_weight("laguerre", gamma=1)
         m = moments(w, 7, mode="exact")
-        gen = generalized_moments(w, "x", 3, 3, plain=m)
+        gen = generalized_moments(w, "x", 3, 3)
         for k in range(4):
             for j in range(4):
                 assert gen[k][j] == m[k + j]

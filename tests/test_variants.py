@@ -157,6 +157,18 @@ class TestMultiplicative:
             for s in ([], [0], [1], [2], [0, 1], [0, 2], [1, 2], [0, 1, 2])
         }
 
+    @pytest.mark.parametrize("n,count", [(3, 8), (4, 16)])
+    def test_float_enumeration_agrees_with_exact(self, n, count, ctx50):
+        # float candidates are told apart by _poly_close's tolerance branch
+        w = preset_weight("jacobi-mult", p=3, q=2)
+        exact, exact_distinct = enumerate_multiplicative(moments(w, 2 * n + 1, mode="exact"), n)
+        floats, float_distinct = enumerate_multiplicative(
+            moments(w, 2 * n + 1, context=ctx50), n, context=ctx50
+        )
+        assert exact_distinct == float_distinct == count
+        assert [c.succeeded for c in floats] == [c.succeeded for c in exact]
+        assert [c.pattern for c in floats] == [c.pattern for c in exact]
+
     def test_full_pattern_orthogonal_under_one_minus_x(self):
         # <(1-x) P_n P_m> = 0 for m < n, full patterns
         for name, params in [

@@ -13,6 +13,7 @@ from orthoieq import (
     PrecisionContext,
     Scalar,
     contour_weight,
+    default_samples,
     moments,
     normalize,
     parse_weight,
@@ -40,6 +41,19 @@ class TestInterval:
     def test_rational_endpoints(self):
         iv = Interval("1/2", 1)
         assert iv.alpha == Fraction(1, 2)
+
+
+    @pytest.mark.parametrize("ends,span", [
+        ((0, 1), (0, 1)),
+        ((Fraction(-1, 2), "inf"), (Fraction(-1, 2), Fraction(3, 2))),
+        (("-inf", 0), (-2, 0)),
+        (("-inf", "inf"), (-1, 1)),
+    ])
+    def test_sample_span_clips_an_infinite_end(self, ends, span):
+        interval = Interval(*ends)
+        assert interval.sample_span() == span
+        samples = default_samples(interval, mode="exact")
+        assert (samples[0].value, samples[2].value) == span
 
 
 class TestPresetValidation:
