@@ -468,6 +468,11 @@ def cmd_verify(args, context) -> int:
     w = weight_from_args(args, context)
     with open(args.poly_file, "r", encoding="utf-8") as fh:
         data = json.load(fh)
+    if isinstance(data, dict) and "coefficients" not in data:
+        raise ConfigurationError(
+            f'{args.poly_file}: a poly file needs a "coefficients" field '
+            "(a bare list of coefficients is accepted too)"
+        )
     coeff_objs = data["coefficients"] if isinstance(data, dict) else data
     coeffs = [scalar_from_json(c, args.mode, context) for c in coeff_objs]
     P = Polynomial(coeffs)

@@ -1,10 +1,9 @@
 """Dense linear algebra over Scalars, sized for Hankel systems (tens of rows).
 
-Each routine unwraps its entries once and eliminates on the raw values:
-Fraction or IPiFraction when every entry is exact, otherwise mpmath
-numbers at the one float precision the entries share (exact entries are
-converted to it first, as Scalar arithmetic does, and two float
-precisions raise ModeError). Results are wrapped once at the end.
+Each routine unwraps its entries once by the shared rule, numeric.unwrap
+(Fraction or IPiFraction when every entry is exact, otherwise mpmath
+numbers at the one float precision the entries share), eliminates on the
+raw values and wraps the results once at the end.
 
 Exact eliminations take the first nonzero pivot (exact arithmetic gains
 nothing from magnitude pivoting), so exact quotients stay exact and the
@@ -14,25 +13,14 @@ partially, by magnitude at working precision.
 
 from __future__ import annotations
 
-from .errors import ModeError, SingularSystemError
-from .numeric import PrecisionContext, Scalar
-
-
-def _unwrap(rows):
-    """Raw entry values and the float precision they share (None when all are exact)."""
-    precisions = sorted({entry.precision for row in rows for entry in row} - {None})
-    if not precisions:
-        return [[entry.value for entry in row] for row in rows], None
-    if len(precisions) > 1:
-        raise ModeError(f"mixed float precisions {precisions[0]} and {precisions[1]}")
-    ctx = PrecisionContext(precisions[0])
-    return [[entry.to_float(ctx).value for entry in row] for row in rows], ctx.precision
+from .errors import SingularSystemError
+from .numeric import PrecisionContext, Scalar, unwrap
 
 
 def solve_full_pivot(matrix, rhs):
     """Solve A x = b. Raises SingularSystemError when no pivot is available."""
     n = len(matrix)
-    a, precision = _unwrap([list(row) + [rhs[i]] for i, row in enumerate(matrix)])
+    a, precision = unwrap(*(list(row) + [rhs[i]] for i, row in enumerate(matrix)))
     fabs = None if precision is None else PrecisionContext(precision).mp.fabs
     col_of = list(range(n))  # col_of[j] = original column stored at position j
     for step in range(n):
@@ -87,7 +75,7 @@ def det_lu_flag(matrix, rel_threshold):
     is entirely zero, which for exact entries happens exactly when the
     determinant is zero.
     """
-    a, precision = _unwrap(matrix)
+    a, precision = unwrap(*matrix)
     n = len(a)
     fabs = None if precision is None else PrecisionContext(precision).mp.fabs
     sign = 1

@@ -243,6 +243,24 @@ def _at_pi(terms, digits: int):
         guard *= 2
 
 
+def unwrap(*groups):
+    """The raw values of each group of Scalars, and the float precision they share.
+
+    This is the one rule for computing on raw values: when every entry is
+    exact the values stay Fraction or IPiFraction and the precision is
+    None; otherwise each exact entry is converted to the one float
+    precision the entries share, as Scalar arithmetic does, and two float
+    precisions raise ModeError. Results are wrapped as Scalar(value, precision).
+    """
+    precisions = sorted({entry.precision for group in groups for entry in group} - {None})
+    if not precisions:
+        return [[entry.value for entry in group] for group in groups], None
+    if len(precisions) > 1:
+        raise ModeError(f"mixed float precisions {precisions[0]} and {precisions[1]}")
+    ctx = PrecisionContext(precisions[0])
+    return [[entry.to_float(ctx).value for entry in group] for group in groups], ctx.precision
+
+
 def _to_exact_value(value):
     if isinstance(value, Scalar):
         if not value.is_exact:

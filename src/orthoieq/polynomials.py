@@ -1,21 +1,27 @@
 """Polynomial values and the moment-weighted inner products every check relies on.
 
-Products are formed by exact coefficient convolution and then contracted
+Products are formed by coefficient convolution and then contracted
 against moments; quadrature is never involved here, so orthogonality
 checks see moment error only.
+
+Each contraction unwraps its Scalars once by the one rule the package
+shares, numeric.unwrap (exact values stay Fraction or IPiFraction; exact
+entries meet float ones at the float precision they share), computes on
+the raw values and wraps its results once. Each sum adds its terms in
+the order Scalar arithmetic would, and an exact factor (a power of g,
+a_k C(k, i)) is formed exactly before it meets a float one, so a
+polynomial of one mode against moments of one mode gives the bits of
+the elementwise Scalar computation.
 """
 
 from __future__ import annotations
 
-from functools import reduce
 from math import comb
-from operator import add
 
 from .errors import DegenerateDegreeError, InsufficientMomentsError
-from .numeric import Scalar
+from .numeric import PrecisionContext, Scalar, unwrap
 
 _ZERO = Scalar.exact(0)
-_ONE = Scalar.exact(1)
 
 
 class Polynomial:
@@ -50,18 +56,16 @@ class Polynomial:
         """Horner evaluation at a Scalar point."""
         if not isinstance(x, Scalar):
             x = Scalar.exact(x)
-        acc = self.coeffs[-1]
-        for c in reversed(self.coeffs[:-1]):
+        (coeffs, (x,)), precision = unwrap(self.coeffs, (x,))
+        acc = coeffs[-1]
+        for c in reversed(coeffs[:-1]):
             acc = acc * x + c
-        return acc
+        return Scalar(acc, precision)
 
     def __mul__(self, other):
         if isinstance(other, Polynomial):
-            out = [_ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] = out[i + j] + a * b
-            return Polynomial(out)
+            (a, b), precision = unwrap(self.coeffs, other.coeffs)
+            return Polynomial([Scalar(c, precision) for c in _convolve(a, b)])
         return self.scale(other)
 
     __rmul__ = __mul__
@@ -97,14 +101,44 @@ class Polynomial:
         return " + ".join(parts)
 
 
-def inner_moment(P: Polynomial, k: int, m) -> Scalar:
-    """<x^k P> = sum_j a_j m_(k+j). Needs moments up to deg(P)+k."""
+def _convolve(a, b):
+    """Ascending coefficients of the product of two raw coefficient lists."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + x * y
+    return out
+
+
+def _dot(a, b):
+    """sum_j a_j b_j over the length of a, terms added in ascending j."""
+    acc = a[0] * b[0]
+    for j in range(1, len(a)):
+        acc = acc + a[j] * b[j]
+    return acc
+
+
+def _require(P: Polynomial, k: int, m):
     if len(m) < P.degree + k + 1:
         raise InsufficientMomentsError(
             f"<x^{k} P> with deg P = {P.degree} needs m_0..m_{P.degree + k}, "
             f"got {len(m)} moments"
         )
-    return reduce(add, (a * m[k + j] for j, a in enumerate(P.coeffs)))
+
+
+def _raw_moments(P: Polynomial, kmax: int, m):
+    """The raw coefficients of P, mu_k = <x^k P> for k = 0..kmax, and their
+    precision. A short m raises inner_moment's error for the first k it misses."""
+    _require(P, max(0, min(kmax, len(m) - P.degree)), m)
+    (a, values), precision = unwrap(P.coeffs, [m[t] for t in range(P.degree + kmax + 1)])
+    return a, [_dot(a, values[k:]) for k in range(kmax + 1)], precision
+
+
+def inner_moment(P: Polynomial, k: int, m) -> Scalar:
+    """<x^k P> = sum_j a_j m_(k+j). Needs moments up to deg(P)+k."""
+    _require(P, k, m)
+    (a, values), precision = unwrap(P.coeffs, [m[k + j] for j in range(P.degree + 1)])
+    return Scalar(_dot(a, values), precision)
 
 
 def orthogonality(Pn: Polynomial, Pm: Polynomial, m) -> Scalar:
@@ -133,26 +167,35 @@ def power_table(g, kmax: int, seq, width: int):
     g lists the ascending coefficients of a nonconstant polynomial, as
     Fractions or Scalars (an exact complex shift works). Against plain
     moments the rows are <g^k x^j>; against mu_t = <x^t P> they are
-    s_k = <g^k P>. Each power of g is formed once; each entry sums its
-    nonzero terms in ascending t.
+    s_k = <g^k P>. Each power of g is formed once, in the mode of g, and
+    meets seq only in the contraction; each entry sums its nonzero terms
+    in ascending t. Row 0 is seq itself.
     """
     g = Polynomial(g)
-    power = Polynomial([_ONE])
-    rows = []
-    for k in range(kmax + 1):
-        if k:
-            power = power * g
-        terms = [(t, c) for t, c in enumerate(power.coeffs) if not c.is_zero()]
-        rows.append([reduce(add, (c * seq[t + j] for t, c in terms)) for j in range(width)])
+    seq = [seq[i] for i in range(g.degree * kmax + width)]
+    (gv,), g_precision = unwrap(g.coeffs)
+    terms, power = [], [1]
+    for _ in range(kmax):
+        power = _convolve(power, gv)
+        terms.append([(t, Scalar(c, g_precision)) for t, c in enumerate(power) if c != 0])
+    (*coeffs, values), precision = unwrap(*([c for _, c in row] for row in terms), seq)
+    rows = [seq[:width]]
+    for row, cs in zip(terms, coeffs):
+        rows.append([Scalar(_dot(cs, [values[t + j] for t, _ in row]), precision)
+                     for j in range(width)])
     return rows
 
 
 def argument_moments(P: Polynomial, g, kmax: int, m) -> list:
     """s_k = <g^k P> for k = 0..kmax: power_table against mu_t = <x^t P>.
 
+    For the additive g = y, s_k is mu_k itself and nothing is expanded.
     Needs moments up to deg(P) + deg(g) kmax.
     """
-    mu = [inner_moment(P, t, m) for t in range((len(g) - 1) * kmax + 1)]
+    _, mu, precision = _raw_moments(P, (len(g) - 1) * kmax, m)
+    mu = [Scalar(v, precision) for v in mu]
+    if len(g) == 2 and g[0] == 0 and g[1] == 1:
+        return mu
     return [row[0] for row in power_table(g, kmax, mu, 1)]
 
 
@@ -175,15 +218,20 @@ def binomial_image(P: Polynomial, s) -> Polynomial:
     s_r = <g(y)^r P(y)>, integral of w(y) P(y) P(x + g(y)) dy (additive,
     shifted and functional forms), and with s_r = <y^r f[P(y)]>, integral
     of w(y) f[P(y)] P(x + y) dy. The leading coefficient may vanish.
+    Each a_k C(k,i) is formed in the mode of P before it meets s.
     """
     n = P.degree
-    coeffs = [reduce(add, (P.coeffs[k] * Scalar.exact(comb(k, i)) * s[k - i]
-                           for k in range(i, n + 1))) for i in range(n + 1)]
+    (a,), p_precision = unwrap(P.coeffs)
+    to_raw = int if p_precision is None else PrecisionContext(p_precision).mp.mpf
+    scaled = [[Scalar(a[k] * to_raw(comb(k, i)), p_precision) for k in range(i, n + 1)]
+              for i in range(n + 1)]
+    (*scaled, values), precision = unwrap(*scaled, [s[r] for r in range(n + 1)])
+    coeffs = [Scalar(_dot(row, values), precision) for row in scaled]
     return Polynomial(coeffs, allow_zero_leading=True)
 
 
 def multiplicative_image(P: Polynomial, m) -> Polynomial:
     """Right side of the multiplicative equation: x^k coefficient a_k <y^k P(y)>."""
-    coeffs = [P.coeffs[k] * inner_moment(P, k, m) for k in range(P.degree + 1)]
-    return Polynomial(coeffs, allow_zero_leading=True)
-
+    a, mu, precision = _raw_moments(P, P.degree, m)
+    return Polynomial([Scalar(c * v, precision) for c, v in zip(a, mu)],
+                      allow_zero_leading=True)

@@ -14,7 +14,8 @@ g(y) = y, a + b y or f(y). Each reduces to the linear conditions
 the binomial image of s_r = <g(y)^r P(y)> (_kernel_moments). For a
 polynomial g, one contraction (polynomials.power_table) expands the
 powers of g against the plain moments, for the solver's table and for
-s_r alike; any other f integrates the table <f^k x^j>. ArbitraryF's
+s_r alike (for g = y, s_r is <y^r P> itself and nothing is expanded);
+any other f integrates the table <f^k x^j>. ArbitraryF's
 right side is the binomial image of <y^r f[P(y)]>; Multiplicative solves
 <x^k P> = 1 on its support and has its own image. One verdict rule
 (_verdict) judges the residuals of every form: exact moments give exact

@@ -45,8 +45,14 @@ def _as_endpoint(value):
             return INF
         if value.strip() in ("-inf", "-oo"):
             return -INF
+    try:
         return Fraction(value)
-    return Fraction(value)
+    except (TypeError, ValueError, ZeroDivisionError):
+        shown = value.strip() if isinstance(value, str) else value
+        raise ConfigurationError(
+            f"interval endpoint {shown!r} is not a number "
+            "(int, Fraction, decimal string, inf or -inf)"
+        ) from None
 
 
 @dataclass(frozen=True)

@@ -214,6 +214,26 @@ class TestExitCodesAndReproducibility:
     def test_usage_error_is_2(self, capsys):
         assert main(["moments"]) == 2  # no weight chosen
 
+    def test_malformed_interval_endpoint_is_2(self, capsys):
+        code, out, err = run_cli(
+            capsys, "moments", "--expr", "1", "--interval", "1x", "2", "--count", "2",
+        )
+        assert (code, out) == (2, "")
+        assert err == ("error: interval endpoint '1x' is not a number "
+                       "(int, Fraction, decimal string, inf or -inf)\n")
+
+    @pytest.mark.parametrize("record", [{"coeffs": []}, {"command": "poly"}])
+    def test_poly_file_without_coefficients_is_2(self, capsys, tmp_path, record):
+        poly_file = tmp_path / "p.json"
+        poly_file.write_text(json.dumps(record))
+        code, out, err = run_cli(
+            capsys, "verify", "--preset", "laguerre", "--gamma", "1",
+            "--poly-file", str(poly_file),
+        )
+        assert (code, out) == (2, "")
+        assert err == (f'error: {poly_file}: a poly file needs a "coefficients" field '
+                       "(a bare list of coefficients is accepted too)\n")
+
     @pytest.mark.parametrize("flags,message", [
         (["--preset", "chebyshev-u2-add", "--gamma", "3", "-n", "1"],
          "preset chebyshev-u2-add takes no parameters, not --gamma"),

@@ -1,5 +1,7 @@
 from fractions import Fraction
+from functools import reduce
 from math import comb
+from operator import add
 
 import pytest
 import sympy as sp
@@ -9,9 +11,12 @@ from hypothesis import strategies as st
 from orthoieq import (
     DegenerateDegreeError,
     InsufficientMomentsError,
+    ModeError,
     MomentSequence,
     Polynomial,
+    PrecisionContext,
     Scalar,
+    contour_weight,
     inner_moment,
     integral_image,
     moments,
@@ -21,6 +26,8 @@ from orthoieq import (
     shifted_inner,
     solve_polynomial,
 )
+from orthoieq.numeric import I_PI
+from orthoieq.polynomials import argument_moments, binomial_image, power_table
 
 from conftest import from_sympy
 
@@ -220,3 +227,174 @@ class TestIntegralImageAgainstNestedRoute:
             Pf = Polynomial([c.to_float(ctx50) for c in P.coeffs])
             got = [c.value for c in integral_image(Pf, m_float, a, b).coeffs]
             assert got == [c.value for c in nested_integral_image(Pf, m_float, a, b)]
+
+
+# ---------------------------------------------------------------------------
+# The raw-value contractions against the elementwise Scalar computation:
+# every operation below goes through Scalar arithmetic, as the contractions
+# did before they unwrapped their entries.
+
+
+def scalar_convolve(a, b):
+    out = [Scalar.exact(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + x * y
+    return out
+
+
+def scalar_eval(P, x):
+    acc = P.coeffs[-1]
+    for c in reversed(P.coeffs[:-1]):
+        acc = acc * x + c
+    return acc
+
+
+def scalar_inner_moment(P, k, m):
+    return reduce(add, (a * m[k + j] for j, a in enumerate(P.coeffs)))
+
+
+def scalar_power_table(g, kmax, seq, width):
+    g = [c if isinstance(c, Scalar) else Scalar.exact(c) for c in g]
+    power = [Scalar.exact(1)]
+    rows = []
+    for k in range(kmax + 1):
+        if k:
+            power = scalar_convolve(power, g)
+        terms = [(t, c) for t, c in enumerate(power) if not c.is_zero()]
+        rows.append([reduce(add, (c * seq[t + j] for t, c in terms)) for j in range(width)])
+    return rows
+
+
+def scalar_argument_moments(P, g, kmax, m):
+    mu = [scalar_inner_moment(P, t, m) for t in range((len(g) - 1) * kmax + 1)]
+    return [row[0] for row in scalar_power_table(g, kmax, mu, 1)]
+
+
+def scalar_binomial_image(P, s):
+    n = P.degree
+    return [reduce(add, (P.coeffs[k] * Scalar.exact(comb(k, i)) * s[k - i]
+                         for k in range(i, n + 1))) for i in range(n + 1)]
+
+
+def scalar_multiplicative_image(P, m):
+    return [P.coeffs[k] * scalar_inner_moment(P, k, m) for k in range(P.degree + 1)]
+
+
+def bits(value):
+    """Mode, value type and the exact value of a Scalar (binary digits for floats)."""
+    v = value.value
+    if value.is_exact:
+        return None, type(v), v
+    return value.precision, type(v), getattr(v, "_mpf_", None) or v._mpc_
+
+
+def assert_identical(got, want):
+    assert [bits(v) for v in got] == [bits(v) for v in want]
+
+
+def check_every_contraction(P, Q, m, samples, shift):
+    """Each raw contraction equals its Scalar reference in value, type and
+    precision; m holds at least 3 deg(P) + 1 moments."""
+    n = P.degree
+    assert_identical([P.eval(x) for x in samples], [scalar_eval(P, x) for x in samples])
+    assert_identical((P * Q).coeffs, scalar_convolve(P.coeffs, Q.coeffs))
+    assert_identical([inner_moment(P, k, m) for k in range(n + 1)],
+                     [scalar_inner_moment(P, k, m) for k in range(n + 1)])
+    for g in ([0, 1], shift, [1, Fraction(-1, 3), 3]):
+        s = argument_moments(P, g, n, m)
+        assert_identical(s, scalar_argument_moments(P, g, n, m))
+        assert_identical(binomial_image(P, s).coeffs, scalar_binomial_image(P, s))
+        width = len(m) - (len(g) - 1) * n
+        for got, want in zip(power_table(g, n, m, width), scalar_power_table(g, n, m, width)):
+            assert_identical(got, want)
+    assert_identical(multiplicative_image(P, m).coeffs, scalar_multiplicative_image(P, m))
+
+
+class TestRawContractionsMatchScalarArithmetic:
+    SHIFT = [Fraction(3, 2), 2]
+    SAMPLES = [Fraction(0), Fraction(7, 3), Fraction(-5, 11)]
+
+    def test_exact_fractions(self, ctx50):
+        m = moments(preset_weight("jacobi-add", p=3, q=2), 19, mode="exact")
+        P = solve_polynomial(m, 6)
+        Q = Polynomial([Fraction(1, 3), -2, 0, 5])
+        check_every_contraction(P, Q, m, [Scalar.exact(x) for x in self.SAMPLES], self.SHIFT)
+        check_every_contraction(Q, P, m, [Scalar.exact(x) for x in self.SAMPLES], self.SHIFT)
+        # a float g against exact moments: row 0 stays exact, the others are float
+        g = [ctx50.scalar(Fraction(1, 3)), ctx50.scalar(2)]
+        for got, want in zip(power_table(g, 6, m, 7), scalar_power_table(g, 6, m, 7)):
+            assert_identical(got, want)
+
+    @pytest.mark.parametrize("winding", [0, 1])
+    def test_exact_contour_values(self, winding):
+        m = moments(contour_weight(winding), 13, mode="exact")
+        P = solve_polynomial(m, 4)
+        Q = Polynomial([I_PI, Fraction(2, 3), 1])
+        samples = [I_PI * Scalar.exact(x) + Scalar.exact(1) for x in self.SAMPLES]
+        assert not m[1].is_rational()
+        check_every_contraction(P, Q, m, samples, [I_PI / Scalar.exact(2), 2])
+
+    @pytest.mark.parametrize("precision", [16, 30, 50, 77])
+    def test_float_values(self, precision):
+        ctx = PrecisionContext(precision)
+        w = preset_weight("laguerre", gamma=Fraction(3, 2))
+        m = moments(w, 16, mode="float", context=ctx)
+        P = Polynomial([c.to_float(ctx) for c in solve_polynomial(moments(w, 11, mode="exact"), 5).coeffs])
+        Q = Polynomial([ctx.scalar(Fraction(1, 3)), ctx.scalar(-2), ctx.scalar(5)])
+        samples = [ctx.scalar(x) for x in self.SAMPLES]
+        check_every_contraction(P, Q, m, samples, self.SHIFT)
+        check_every_contraction(P, Q, m, samples, [ctx.scalar(Fraction(3, 2)), ctx.scalar(2)])
+
+    def test_exact_polynomial_against_float_moments(self, ctx50):
+        # denominators that are not powers of 2, so rounding a_k before or
+        # after forming a_k C(k, i) gives different bits
+        P = Polynomial([Fraction(k + 1, 3 * k + 7) for k in range(7)])
+        m = moments(preset_weight("jacobi-add", p=3, q=2), 19, mode="float", context=ctx50)
+        Q = Polynomial([ctx50.scalar(Fraction(1, 3)), ctx50.scalar(-2), ctx50.scalar(5)])
+        check_every_contraction(P, Q, m, [ctx50.scalar(x) for x in self.SAMPLES], self.SHIFT)
+        check_every_contraction(Q, P, m, [Scalar.exact(x) for x in self.SAMPLES], self.SHIFT)
+
+
+class TestMixedFloatPrecisions:
+    def test_contractions_raise_mode_error(self, ctx50):
+        ctx30 = PrecisionContext(30)
+        P = Polynomial([ctx30.scalar(2), ctx30.scalar(-1)])
+        m = moments(preset_weight("laguerre", gamma=1), 6, mode="float", context=ctx50)
+        calls = [
+            lambda: P.eval(ctx50.scalar(1)),
+            lambda: P * Polynomial([ctx50.scalar(1), ctx50.scalar(3)]),
+            lambda: inner_moment(P, 0, m),
+            lambda: argument_moments(P, [0, 1], 2, m),
+            lambda: power_table([ctx30.scalar(1), ctx30.scalar(2)], 2, m, 2),
+            lambda: binomial_image(P, [ctx50.scalar(1), ctx50.scalar(0)]),
+            lambda: multiplicative_image(P, m),
+            lambda: orthogonality(P, P, m),
+        ]
+        for call in calls:
+            with pytest.raises(ModeError, match="mixed float precisions 30 and 50"):
+                call()
+
+
+class TestShortMomentTables:
+    """The texts name the first moment a contraction misses, as before."""
+
+    P3 = Polynomial([1, 2, 3, 4])
+
+    @pytest.mark.parametrize("call,text", [
+        (lambda P, m: inner_moment(P, 2, m), "<x^2 P> with deg P = 3 needs m_0..m_5, got 5 moments"),
+        (lambda P, m: argument_moments(P, [1, 2], 3, m),
+         "<x^2 P> with deg P = 3 needs m_0..m_5, got 5 moments"),
+        (lambda P, m: argument_moments(P, [0, 1], 3, list(m.values)[:2]),
+         "<x^0 P> with deg P = 3 needs m_0..m_3, got 2 moments"),
+        (lambda P, m: shifted_inner(P, 3, 1, 2, m),
+         "<(a+bx)^3 P> with deg P = 3 needs m_0..m_6, got 5 moments"),
+        (lambda P, m: orthogonality(P, P, m), "<x Pn Pm> needs m_0..m_7, got 5 moments"),
+        (lambda P, m: integral_image(P, m), "<x^2 P> with deg P = 3 needs m_0..m_5, got 5 moments"),
+        (lambda P, m: multiplicative_image(P, m),
+         "<x^2 P> with deg P = 3 needs m_0..m_5, got 5 moments"),
+    ])
+    def test_error_text(self, call, text):
+        with pytest.raises(InsufficientMomentsError) as info:
+            call(self.P3, laguerre_moments(5))
+        assert str(info.value) == text

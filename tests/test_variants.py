@@ -22,10 +22,12 @@ from orthoieq import (
     enumerate_multiplicative,
     generalized_moments,
     inner_moment,
+    integral_image,
     moments,
     orthogonality,
     parity_measure_moments,
     parity_pattern,
+    polynomials,
     preset_weight,
     solve_functional,
     solve_linear_shift,
@@ -590,3 +592,35 @@ class TestFunctionalImageAgainstNestedRoute:
             assert [c.value for c in image.coeffs] == [
                 c.value for c in nested_functional_image(P, gen)
             ]
+
+
+class TestAdditiveSkipsThePowerExpansion:
+    """For g = y, s_k = <y^k P> is mu_k itself: no power of g is expanded."""
+
+    @staticmethod
+    def results(P, Pf, w, m, mf, ctx):
+        exact = verify(P, w, Additive(), mode="exact", moment_seq=m)
+        rounded = verify(Pf, w, Additive(), context=ctx)
+        return [[(r.precision, r.value) for r in report.residuals + (report.max_residual,)]
+                + [report.passed] for report in (exact, rounded)] + [
+            [(c.precision, c.value) for c in image.coeffs]
+            for image in (integral_image(P, m), integral_image(Pf, mf))]
+
+    def test_additive_forms_never_call_power_table(self, monkeypatch, ctx50):
+        def no_expansion(*args):
+            raise AssertionError("power_table ran")
+
+        w = preset_weight("jacobi-add", p=3, q=2)
+        m = moments(w, 25, mode="exact")
+        mf = moments(w, 25, mode="float", context=ctx50)
+        P = solve_polynomial(m, 8)
+        Pf = Polynomial([c.to_float(ctx50) for c in P.coeffs])
+        shift = solve_linear_shift(m, 8, Fraction(3, 2), 2)
+        functional = solve_functional(w, "x^2+x", 3, mode="exact")
+        want = self.results(P, Pf, w, m, mf, ctx50)
+        monkeypatch.setattr(polynomials, "power_table", no_expansion)
+        assert self.results(P, Pf, w, m, mf, ctx50) == want
+        with pytest.raises(AssertionError, match="power_table ran"):
+            verify(shift, w, LinearShift(Fraction(3, 2), 2), mode="exact", moment_seq=m)
+        with pytest.raises(AssertionError, match="power_table ran"):
+            verify(functional, w, Functional("x^2+x"), mode="exact", moment_seq=m)

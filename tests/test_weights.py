@@ -42,6 +42,18 @@ class TestInterval:
         iv = Interval("1/2", 1)
         assert iv.alpha == Fraction(1, 2)
 
+    @pytest.mark.parametrize("ends,shown", [
+        (("1x", 2), "'1x'"),
+        ((0, " -2/x"), "'-2/x'"),
+        (("1/0", 2), "'1/0'"),
+        ((0, None), "None"),
+    ])
+    def test_malformed_endpoint_names_it(self, ends, shown):
+        with pytest.raises(ConfigurationError) as info:
+            Interval(*ends)
+        assert str(info.value) == (f"interval endpoint {shown} is not a number "
+                                   "(int, Fraction, decimal string, inf or -inf)")
+
 
     @pytest.mark.parametrize("ends,span", [
         ((0, 1), (0, 1)),
