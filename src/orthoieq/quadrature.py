@@ -12,8 +12,19 @@ A moment table integrates the same weight against many factors s^k x^j
 (x^n, f(x)^k x^j, x^j f[P(x)]), with s = shared(x). The nodes are shared:
 at each tanh-sinh level the weight times the change-of-variables factor,
 and s where an entry needs it, are evaluated once per node, and the powers
-of x and of s are running products kept per node for all entries. Each
-entry runs mpmath's level loop (``TanhSinh.sum_next`` arithmetic,
+of x and of s are running products kept per node for all entries.
+
+One node set serves every table of a weight at one precision. The mapped
+abscissae and the weight data of each piece and level are kept in a memo
+the caller owns, the Weight's ``nodes``; normalize, moments, generalized
+moments, the functional solve and verify, and check_arbitrary_f then
+evaluate the weight once per node between them. The memo dies with its
+weight: there is no module-level cache. The arithmetic and the order of
+terms are those of a fresh node set, so every value, estimate and error
+text is the same. s, which belongs to the call, and the running products
+are formed per call.
+
+Each entry runs mpmath's level loop (``TanhSinh.sum_next`` arithmetic,
 ``estimate_error``, 20 guard bits, at most 8 levels) and stops at its own
 level: at mpmath's eps/8 target, or as soon as it holds the digits the
 result keeps, p+10 of them by both mpmath's estimate and the last level
@@ -53,13 +64,18 @@ def _error_floor(mp, working_dps):
 
 
 def integrate_expression(tree, interval, context, factors=((0, 0),), *, shared=None,
-                         endpoint_exponents=(0, 0), wrap_error=None):
+                         endpoint_exponents=(0, 0), wrap_error=None, memo=None):
     """Integrate the expression tree times each factor over the interval.
 
     Each factor is a pair (k, j) of non-negative integers standing for the
     multiplier ``shared(x)^k * x^j``; (0, 0) is the tree alone. ``shared`` is
     evaluated at most once per node, and only for entries with k >= 1.
     Compile it against ``working_context(p)``.
+
+    ``memo`` is a dict the caller owns (``Weight.nodes``). The node data of
+    this tree, interval and precision are read from it, or evaluated once
+    and stored there, so later calls with the same memo do not evaluate the
+    tree again.
 
     Returns one (value, error_estimate) pair of Scalars at the context
     precision per factor, each equal to the p digits a separate ``quadts``
@@ -74,17 +90,23 @@ def integrate_expression(tree, interval, context, factors=((0, 0),), *, shared=N
     p = context.precision
     work = working_context(p)
     description = ex.to_text(tree)
-    pieces = _split_pieces(interval, endpoint_exponents, work)
-    weight = ex.compile_float(tree, work)
+    # the tree's text, interval and exponents are in the key too, so a memo
+    # shared by a weight copied with another body (dataclasses.replace) stays right
+    key = (p, description, interval, tuple(endpoint_exponents))
+    node_set = memo.get(key) if memo is not None else None
+    if node_set is None:
+        node_set = _NodeSet(tree, _split_pieces(interval, endpoint_exponents, work), work)
+        if memo is not None:
+            memo[key] = node_set
     keep = work.mpf(10) ** -(p + _KEPT_DIGITS)
     count = len(factors)
     totals = [work.mpf(0)] * count
     ests = [work.mpf(0)] * count
     steps = [work.mpf(0)] * count
     failed = None  # (index, exception) of the lowest-index failure so far
-    for piece in pieces:
+    for piece in range(len(node_set.pieces)):
         live = factors if failed is None else factors[:failed[0]]
-        results, failure = _tanh_sinh(piece, weight, live, shared, work, keep)
+        results, failure = _tanh_sinh(node_set, piece, live, shared, work, keep)
         if failure is not None:
             index, exc = failure
             failed = (index, _evaluation_error(description, exc))
@@ -131,25 +153,55 @@ def _evaluation_error(description, exc):
     return error
 
 
-class _Level:
-    """One tanh-sinh level's node data, shared by every entry.
+class _NodeSet:
+    """One tree's node data on one interval at one working precision.
 
-    Per node it holds the node's quadrature weight times the weight's value
-    and the change-of-variables factor (``scaled[node][0]``), then running
-    products ``scaled[node][k]`` = that times s^k and ``powers[node][j-1]`` =
-    x^j, each extended when an entry first needs it; s = shared(x) is
-    evaluated then, once per node. Everything is kept as raw mpf/mpc tuples,
-    not mpf objects: thousands of live mpf objects stay tracked by the
-    garbage collector and make it run full collections, raw tuples of ints
-    do not. Nodes that round onto a regularized endpoint are left out: the
-    integrand is 0 there and nothing is evaluated.
+    ``pieces`` are the finite pieces of the interval (_split_pieces);
+    ``level(piece, degree, prec)`` gives that tanh-sinh level's _Nodes,
+    evaluating the tree on them the first time it is asked for. A memo
+    keeps the set for every later integral of the same weight.
     """
 
-    def __init__(self, work, nodes, point, weight, shared):
+    def __init__(self, tree, pieces, work):
+        self.tree = tree
+        self.pieces = pieces
         self.work = work
-        self.shared = shared
-        self.powers, self.scaled = [], []
-        self.failure = None  # what the node map or weight raised at the first node it failed
+        self.weight = None  # the compiled tree, made when a level is first evaluated
+        self.levels = {}
+
+    def level(self, piece, degree, prec):
+        nodes = self.levels.get((piece, degree))
+        if nodes is None:
+            if self.weight is None:
+                self.weight = ex.compile_float(self.tree, self.work)
+            lo, hi, point = self.pieces[piece]
+            rule = self.work._tanh_sinh
+            nodes = _Nodes(rule.get_nodes(lo, hi, degree, prec), point, self.weight)
+            self.levels[piece, degree] = nodes
+        return nodes
+
+
+class _Nodes:
+    """One tanh-sinh level's weight data, shared by every entry and every call.
+
+    Per node it holds the abscissa x (``xs``) and ``bases``, the node's
+    quadrature weight times the weight's value and the change-of-variables
+    factor. ``failure`` is what the node map or the weight raised at the
+    first node it failed, without its traceback (which would keep the
+    evaluating frames alive with the weight); the nodes before it are kept,
+    so a later call fails at the same node with the same text. Everything
+    is kept as raw mpf/mpc tuples, not mpf objects: thousands of live mpf
+    objects stay tracked by the garbage collector and make it run full
+    collections, raw tuples of ints do not. Nodes that round onto a
+    regularized endpoint are left out: the integrand is 0 there and nothing
+    is evaluated.
+    """
+
+    __slots__ = ("xs", "bases", "failure")
+
+    def __init__(self, nodes, point, weight):
+        self.xs, self.bases = [], []
+        self.failure = None
         for u, node_weight in nodes:
             try:
                 x, jacobian = (u, None) if point is None else point(u)
@@ -159,38 +211,56 @@ class _Level:
                 if jacobian is not None:
                     base *= jacobian
             except _EVAL_ERRORS as exc:
-                self.failure = exc
+                self.failure = exc.with_traceback(None)
                 break
-            self.powers.append([x._mpf_])
-            self.scaled.append([_raw(base)])
-        self.shared_values = [None] * len(self.scaled)
+            self.xs.append(x._mpf_)
+            self.bases.append(_raw(base))
+
+
+class _Level:
+    """One call's view of a level: the shared _Nodes, and the running products
+    ``scaled[k]`` = base times s^k and ``powers[j-1]`` = x^j per node, each
+    extended when an entry first needs it; s = shared(x) is evaluated then,
+    once per node. The products are cheap next to the weight, and kept only
+    for the call, so a weight's node set holds two values per node."""
+
+    def __init__(self, work, nodes, shared):
+        self.work = work
+        self.nodes = nodes
+        self.shared = shared
+        self.failure = nodes.failure
+        self.scaled = [nodes.bases]
+        self.powers = [nodes.xs]
+        self.shared_values = None
+
+    def power(self, j, prec):
+        """x^j per node."""
+        powers, xs = self.powers, self.nodes.xs
+        while len(powers) < j:
+            powers.append([mpf_mul(a, x, prec, "n") for a, x in zip(powers[-1], xs)])
+        return powers[j - 1]
 
     def sum(self, k, j):
         """The entry's node sum, what sum_next's ``fdot`` gives on this level."""
         work = self.work
         prec = work.prec
-        real, imag = [], []
-        for node, (powers, scaled) in enumerate(zip(self.powers, self.scaled)):
-            if len(scaled) <= k:
-                s = self.shared_values[node]
-                if s is None:
-                    s = self.shared_values[node] = _raw(self.shared(work.make_mpf(powers[0])))
-                while len(scaled) <= k:
-                    scaled.append(_mul(scaled[-1], s, prec))
-            value = scaled[k]
-            if j:
-                while len(powers) < j:
-                    powers.append(mpf_mul(powers[-1], powers[0], prec, "n"))
-                value = _mul(value, powers[j - 1], prec)
-            if len(value) == 2:
-                real.append(value[0])
-                imag.append(value[1])
-            else:
-                real.append(value)
-        total = mpf_sum(real, prec, "n")
-        if imag:
-            return work.make_mpc((total, mpf_sum(imag, prec, "n")))
-        return work.make_mpf(total)
+        scaled = self.scaled
+        if len(scaled) <= k:
+            s = self.shared_values
+            if s is None:
+                make = work.make_mpf
+                s = self.shared_values = [_raw(self.shared(make(x))) for x in self.nodes.xs]
+            while len(scaled) <= k:
+                scaled.append([_mul(a, b, prec) for a, b in zip(scaled[-1], s)])
+        values = scaled[k]
+        if j:  # x^j is real: _mul without its type dispatch
+            values = [mpf_mul(v, x, prec, "n") if len(v) == 4 else mpc_mul_mpf(v, x, prec, "n")
+                      for v, x in zip(values, self.power(j, prec))]
+        if any(len(v) == 2 for v in values):
+            real = [v[0] if len(v) == 2 else v for v in values]
+            imag = [v[1] for v in values if len(v) == 2]
+            return work.make_mpc((mpf_sum(real, prec, "n"), mpf_sum(imag, prec, "n")))
+        return work.make_mpf(mpf_sum(values, prec, "n"))
 
 
 def _raw(value):
@@ -206,8 +276,9 @@ def _mul(a, b, prec):
     return mpf_mul(a, b, prec, "n")
 
 
-def _tanh_sinh(piece, weight, factors, shared, work, keep):
-    """quadts' level loop on one finite piece for every (k, j) entry at once.
+def _tanh_sinh(node_set, piece, factors, shared, work, keep):
+    """quadts' level loop on one finite piece of the node set for every (k, j)
+    entry at once.
 
     Returns ([(value, err, step), ...], failure): one triple for each entry
     below the failing one, step being |S_k - S_(k-1)| at its last level k,
@@ -220,7 +291,6 @@ def _tanh_sinh(piece, weight, factors, shared, work, keep):
     failure of the node map or the weight belongs to the lowest-index entry
     still active.
     """
-    lo, hi, point = piece
     rule = work._tanh_sinh
     prec = work.prec
     epsilon = work.eps / 8
@@ -231,7 +301,7 @@ def _tanh_sinh(piece, weight, factors, shared, work, keep):
     work.prec = prec + _GUARD_BITS
     try:
         for degree in range(1, _MAX_DEGREE + 1):
-            level = _Level(work, rule.get_nodes(lo, hi, degree, prec), point, weight, shared)
+            level = _Level(work, node_set.level(piece, degree, prec), shared)
             # TanhSinh.sum_next: the previous level's sum plus this level's new nodes
             h = work.mpf(2) ** (-degree)
             still = []

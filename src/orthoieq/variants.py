@@ -38,7 +38,7 @@ from .errors import (
 from .hankel import exact_values, recurrence_solve, solve_e0, solve_polynomial, vanishes
 from .linalg import solve_full_pivot
 from .moments import MomentSequence, generalized_moments, moments
-from .numeric import PrecisionContext, Scalar, scalar_eq, tolerance
+from .numeric import PrecisionContext, Scalar, scalar_eq, tolerance, unwrap
 from .polynomials import (
     Polynomial,
     argument_moments,
@@ -180,7 +180,7 @@ def verify(P: Polynomial, w: Weight, form, samples=None, *, mode: str = "float",
     else:
         raise ConfigurationError(f"unknown equation form {form!r}")
 
-    residuals = [_abs_scalar(P.eval(x) - rhs.eval(x), context) for x in samples]
+    residuals = [_abs_scalar(d, context) for d in _differences(P, rhs, samples)]
     max_residual, passed = _verdict(
         residuals, qbound, context, lambda: [P.eval(x).magnitude() for x in samples]
     )
@@ -193,6 +193,27 @@ def verify(P: Polynomial, w: Weight, form, samples=None, *, mode: str = "float",
         passed=passed,
         complex_shift=isinstance(form, LinearShift) and form.complex_shift,
     )
+
+
+def _differences(P, rhs, samples):
+    """P(x) - rhs(x) at each sample.
+
+    When P, rhs and the samples are all exact, the coefficients of P - rhs
+    are formed once on raw values and that one polynomial is evaluated by
+    Horner: exact arithmetic gives the same values as evaluating both sides.
+    Float mode evaluates both sides, since its rounding differs.
+    """
+    (a, b, xs), precision = unwrap(P.coeffs, rhs.coeffs, samples)
+    if precision is not None:
+        return [P.eval(x) - rhs.eval(x) for x in samples]
+    diff = [u - v for u, v in zip(a, b, strict=True)]  # an image has deg P + 1 coefficients
+    out = []
+    for x in xs:
+        acc = diff[-1]
+        for c in reversed(diff[:-1]):
+            acc = acc * x + c
+        out.append(Scalar(acc))
+    return out
 
 
 def _plain_moments(w, count, mode, context, moment_seq):

@@ -1,8 +1,10 @@
 """Weight functions w(x) on an interval: presets, parsed expressions, complex contours.
 
-A Weight is immutable. Normalization divides the raw body by its integral
-so that m0 = 1; the divisor is kept on the Weight. Endpoint power-law
-exponents ride along as metadata for the quadrature engine.
+A Weight is immutable; only the quadrature node data it keeps for its
+integrals (Weight.nodes) fill in as it is used. Normalization divides the
+raw body by its integral so that m0 = 1; the divisor is kept on the
+Weight. Endpoint power-law exponents ride along as metadata for the
+quadrature engine.
 
 There are three preset bodies: Laguerre x^(gamma-1) e^(-x) on (0, inf),
 Beta x^A (1-x)^B on (0, 1) and a constant on (-1, 1). The four (0, 1)
@@ -22,7 +24,7 @@ mpmath value made at the working precision. A contour's divisor i pi
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import expressions as ex
@@ -277,6 +279,16 @@ class Contour:
 
 @dataclass(frozen=True)
 class Weight:
+    """A weight body on its interval, with its divisor and endpoint exponents.
+
+    ``nodes`` is the weight's tanh-sinh node data, one node set per
+    precision (quadrature.integrate_expression's memo): every integral of
+    the weight at that precision evaluates the body at each node once,
+    whichever table asks. It is filled as integrals run, ``normalize``
+    hands it on to the normalized weight, and it dies with the weight. It
+    takes no part in ``==``, ``hash`` or ``repr``.
+    """
+
     interval: Interval
     body: object  # Preset | expression tree | Contour
     # divisor applied to a contour or expression body; None for a preset,
@@ -284,6 +296,7 @@ class Weight:
     normalization: Scalar | None
     endpoint_exponents: tuple
     weight_id: str
+    nodes: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def is_normalized(self) -> bool:
@@ -318,7 +331,7 @@ class Weight:
         norm = self.divisor(context)
         entries = integrate_expression(
             self.expression(), self.interval, context, factors, shared=shared,
-            endpoint_exponents=self.endpoint_exponents, wrap_error=wrap_error,
+            endpoint_exponents=self.endpoint_exponents, wrap_error=wrap_error, memo=self.nodes,
         )
         p = context.precision
         return [(Scalar(raw.value / norm, p), Scalar(err.value / abs(norm), p))
@@ -405,7 +418,7 @@ def normalize(w: Weight, context: PrecisionContext | None = None) -> Weight:
         return w  # presets and contours are constructed normalized
     context = context or PrecisionContext()
     [(total, err)] = integrate_expression(
-        w.body, w.interval, context, endpoint_exponents=w.endpoint_exponents
+        w.body, w.interval, context, endpoint_exponents=w.endpoint_exponents, memo=w.nodes
     )
     # integrate_expression has already raised IntegrabilityError for a
     # non-finite or divergent-looking total
@@ -419,4 +432,5 @@ def normalize(w: Weight, context: PrecisionContext | None = None) -> Weight:
         normalization=total,
         endpoint_exponents=w.endpoint_exponents,
         weight_id=w.weight_id,
+        nodes=w.nodes,
     )

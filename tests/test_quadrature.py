@@ -13,11 +13,13 @@ from __future__ import annotations
 import dataclasses
 import math
 import types
+import weakref
 from fractions import Fraction
 
 import pytest
 
 from orthoieq import (
+    Functional,
     IntegrabilityError,
     Interval,
     NormalizationError,
@@ -30,6 +32,9 @@ from orthoieq import (
     moments,
     normalize,
     parse_weight,
+    preset_weight,
+    solve_functional,
+    verify,
 )
 from orthoieq import expressions as ex
 from orthoieq import quadrature
@@ -228,26 +233,33 @@ def test_arbitrary_f_values_equal_per_entry_quadts(p):
 # stopping: at the digits the result keeps, not at the working precision
 
 
-def test_entries_stop_once_they_hold_the_returned_digits(ctx50, monkeypatch):
-    # every entry holds p+10 digits at level 7 (1311 nodes on the half line);
-    # running on to mpmath's eps/8 target would take level 8, 2623 nodes
-    w = normalize(parse_weight("exp(-x)*(1+x)", Interval(0, "inf")), ctx50)
-    nodes = 0
+def _count_weight_evaluations(monkeypatch):
+    """Patch the integrator's compile step; the returned list's one entry
+    counts the compiled weights' evaluations from then on."""
+    count = [0]
 
     def counting_compile(tree, mp):
         weight = ex.compile_float(tree, mp)
 
         def counted(x):
-            nonlocal nodes
-            nodes += 1
+            count[0] += 1
             return weight(x)
 
         return counted
 
     monkeypatch.setattr(quadrature, "ex",
                         types.SimpleNamespace(**{**vars(ex), "compile_float": counting_compile}))
+    return count
+
+
+def test_entries_stop_once_they_hold_the_returned_digits(ctx50, monkeypatch):
+    # every entry holds p+10 digits at level 7 (1311 nodes on the half line);
+    # running on to mpmath's eps/8 target would take level 8, 2623 nodes.
+    # normalize evaluates those levels and moments reuses them.
+    nodes = _count_weight_evaluations(monkeypatch)
+    w = normalize(parse_weight("exp(-x)*(1+x)", Interval(0, "inf")), ctx50)
     m = moments(w, 9, context=ctx50)
-    assert 0 < nodes <= 1311
+    assert 0 < nodes[0] <= 1311
     for n in range(9):  # m_n = n! (n+2) / 2
         assert abs(m[n].value - ctx50.mp.mpf(math.factorial(n) * (n + 2)) / 2) \
             <= m.error_estimates[n].value
@@ -313,3 +325,145 @@ def test_divergent_and_zero_integrals_keep_their_errors(ctx50):
     assert str(err.value) == (
         "integral of expr[x on (-1, 1)] is numerically indistinguishable from zero"
     )
+
+
+# ---------------------------------------------------------------------------
+# one node set per weight and precision, kept on the weight
+
+
+def _functional_pipeline(weight, ctx, count, n):
+    """Every table of the functional sqrt(x) form, each on the normalized
+    weight ``weight()`` gives."""
+    m = moments(weight(), count, context=ctx)
+    table = generalized_moments(weight(), "sqrt(x)", n, n, context=ctx)
+    P = solve_functional(weight(), "sqrt(x)", n, context=ctx)
+    report = verify(P, weight(), Functional("sqrt(x)"), context=ctx)
+    arbitrary = check_arbitrary_f(P, "(x^3+x)/(x^2+1)", weight(), n, context=ctx)
+    return (
+        [(v.value, e.value) for v, e in zip(m.values, m.error_estimates)],
+        [[entry.value for entry in row] for row in table],
+        [c.value for c in P.coeffs],
+        [r.value for r in report.residuals],
+        [v.value for v in arbitrary.values],
+    )
+
+
+@pytest.mark.parametrize("text,interval,count,n,solved,checked", [
+    # levels 1..7 of one piece, 1311 nodes, serve every table
+    ("exp(-x)*(1+x)", Interval(0, "inf"), 9, 1, 1311, 1311),
+    # levels 1..6, 327 nodes, serve all but check_arbitrary_f, which goes
+    # on to level 7 and evaluates only its 328 new nodes
+    ("x^(3/2)*(1-x)", Interval(0, 1), 21, 2, 327, 655),
+])
+def test_one_weight_evaluates_each_node_once(text, interval, count, n, solved, checked,
+                                             ctx50, monkeypatch):
+    # normalize, the plain moments, the sqrt(x) table, solve_functional and
+    # its verify, then check_arbitrary_f: each integral of w reuses the nodes
+    nodes = _count_weight_evaluations(monkeypatch)
+    w = normalize(parse_weight(text, interval), ctx50)
+    moments(w, count, context=ctx50)
+    generalized_moments(w, "sqrt(x)", n, n, context=ctx50)
+    P = solve_functional(w, "sqrt(x)", n, context=ctx50)
+    verify(P, w, Functional("sqrt(x)"), context=ctx50)
+    assert nodes[0] == solved
+    check_arbitrary_f(P, "(x^3+x)/(x^2+1)", w, n, context=ctx50)
+    assert nodes[0] == checked
+
+
+def _fresh(text, interval, ctx):
+    return normalize(parse_weight(text, interval), ctx)
+
+
+@pytest.mark.parametrize("text,interval,count,n", [
+    ("exp(-x)*(1+x)", Interval(0, "inf"), 9, 1),  # the half line
+    ("x^(-1/2)*(1-x)^(1/3)", Interval(0, 1), 7, 1),  # a regularized endpoint
+    ("exp(-(x^2))", Interval("-inf", "inf"), 5, 1),  # two pieces; sqrt(x) is complex
+])
+def test_reused_nodes_give_the_bits_of_a_fresh_weight(text, interval, count, n, ctx50):
+    w = _fresh(text, interval, ctx50)
+    shared = _functional_pipeline(lambda: w, ctx50, count, n)
+    assert len(w.nodes) == 1
+    # every table on a weight of its own, whose node set is new
+    assert shared == _functional_pipeline(lambda: _fresh(text, interval, ctx50), ctx50, count, n)
+    assert shared == _functional_pipeline(lambda: w, ctx50, count, n)
+    longer = moments(w, count + 3, context=ctx50)
+    want = moments(_fresh(text, interval, ctx50), count + 3, context=ctx50)
+    assert longer.values == want.values
+    assert longer.error_estimates == want.error_estimates
+
+
+def test_preset_quadrature_reuses_its_nodes(ctx50):
+    w = preset_weight("jacobi-add", p=3, q=2)
+    first = moments(w, 9, context=ctx50, method="quadrature")
+    table = generalized_moments(w, "sqrt(x)", 1, 1, context=ctx50)
+    longer = moments(w, 11, context=ctx50, method="quadrature")
+    assert w.nodes  # the re-parsed raw body keys on the weight's own node set
+
+    def fresh():
+        return preset_weight("jacobi-add", p=3, q=2)
+
+    assert first == moments(fresh(), 9, context=ctx50, method="quadrature")
+    assert table == generalized_moments(fresh(), "sqrt(x)", 1, 1, context=ctx50)
+    assert longer == moments(fresh(), 11, context=ctx50, method="quadrature")
+    assert longer.error_estimates == moments(fresh(), 11, context=ctx50,
+                                             method="quadrature").error_estimates
+
+
+def test_one_weight_at_two_precisions_matches_fresh_weights():
+    raw = parse_weight("exp(-x)*(1+x)", Interval(0, "inf"))
+    for p in (30, 50):
+        ctx = PrecisionContext(p)
+        w = normalize(raw, ctx)
+        assert w.nodes is raw.nodes
+        got = moments(w, 7, context=ctx)
+        want = moments(_fresh("exp(-x)*(1+x)", Interval(0, "inf"), ctx), 7, context=ctx)
+        assert (got.values, got.error_estimates) == (want.values, want.error_estimates)
+    assert len(raw.nodes) == 2
+
+
+def _error_text(call):
+    with pytest.raises(Exception) as err:
+        call()
+    return type(err.value), str(err.value), getattr(err.value, "worst_index", None)
+
+
+def _moments(w, ctx):
+    return moments(dataclasses.replace(w, normalization=Scalar.exact(1)), 4, context=ctx)
+
+
+@pytest.mark.parametrize("call,text,interval,ending,index", [
+    (normalize, "exp(x)", Interval(0, "inf"), "appears divergent", None),
+    (normalize, "(1+x)^(-1)", Interval(0, "inf"), "reached estimate 1.0, target 1.0e-40", None),
+    # m_0 = pi/2 converges, m_1 does not
+    (_moments, "1/(1+x^2)", Interval(0, "inf"), "reached estimate 1.0, target 1.0e-40", 1),
+    (_moments, "1/(x-1/2)", Interval(0, 1), "failed: ZeroDivisionError", 0),
+])
+def test_repeated_failures_keep_their_text(call, text, interval, ending, index, ctx50):
+    # the moments replace() shares the parsed weight's node set, so the
+    # second call replays the stored levels and their stored failure
+    w = parse_weight(text, interval)
+    fresh = _error_text(lambda: call(parse_weight(text, interval), ctx50))
+    assert ending in fresh[1] and fresh[2] == index
+    assert _error_text(lambda: call(w, ctx50)) == fresh
+    assert _error_text(lambda: call(w, ctx50)) == fresh
+
+
+def test_a_copy_with_another_body_shares_the_memo_not_the_nodes(ctx50):
+    w = _fresh("exp(-x)*(1+x)", Interval(0, "inf"), ctx50)
+    moments(w, 3, context=ctx50)
+    other = dataclasses.replace(w, body=ex.parse_expression("exp(-x)"),
+                                normalization=Scalar.exact(1))
+    assert other.nodes is w.nodes
+    got = moments(other, 3, context=ctx50)
+    want = moments(_unit_mass("exp(-x)", Interval(0, "inf")), 3, context=ctx50)
+    assert (got.values, got.error_estimates) == (want.values, want.error_estimates)
+    assert len(w.nodes) == 2
+
+
+def test_node_data_die_with_their_weight(ctx50):
+    w = normalize(parse_weight("x^(3/2)*(1-x)", Interval(0, 1)), ctx50)
+    generalized_moments(w, "sqrt(x)", 1, 1, context=ctx50)
+    [node_set] = w.nodes.values()
+    alive = weakref.ref(node_set)
+    del node_set, w  # the parsed weight went with normalize's argument
+    assert alive() is None  # freed at once: no reference cycle holds the nodes

@@ -624,3 +624,43 @@ class TestAdditiveSkipsThePowerExpansion:
             verify(shift, w, LinearShift(Fraction(3, 2), 2), mode="exact", moment_seq=m)
         with pytest.raises(AssertionError, match="power_table ran"):
             verify(functional, w, Functional("x^2+x"), mode="exact", moment_seq=m)
+
+
+class TestExactResidualsFromOneDifference:
+    """Exact verify evaluates the one polynomial P - image per sample; the
+    residuals are those of evaluating both sides, value and type."""
+
+    @staticmethod
+    def cases():
+        out = []
+        for name, params in [("laguerre", {"gamma": 1}), ("jacobi-add", {"p": 3, "q": 2})]:
+            w = preset_weight(name, **params)
+            m = moments(w, 25, mode="exact")
+            P = solve_polynomial(m, 6)
+            bad = Polynomial(P.coeffs[:2] + (P.coeffs[2] + Fraction(1, 7),) + P.coeffs[3:])
+            out += [(P, w, Additive(), m, integral_image(P, m)),
+                    (bad, w, Additive(), m, integral_image(bad, m))]
+            shift = solve_linear_shift(m, 5, Fraction(3, 2), 2)
+            out.append((shift, w, LinearShift(Fraction(3, 2), 2), m,
+                        integral_image(shift, m, Fraction(3, 2), 2)))
+        return out
+
+    def test_residuals_equal_both_sides_evaluated(self, monkeypatch):
+        cases = self.cases()
+        want = []
+        for P, w, form, m, image in cases:
+            samples = variants.default_samples(w.interval, mode="exact")
+            want.append([abs(P.eval(x).value - image.eval(x).value) for x in samples])
+        assert any(any(r != 0 for r in row) for row in want)  # the corrupted copies
+
+        def no_eval(*args):
+            raise AssertionError("Polynomial.eval ran")
+
+        monkeypatch.setattr(Polynomial, "eval", no_eval)
+        for (P, w, form, m, _image), residuals in zip(cases, want):
+            report = verify(P, w, form, mode="exact", moment_seq=m)
+            got = [r.value for r in report.residuals]
+            assert got == residuals
+            assert [type(v) for v in got] == [type(v) for v in residuals] == [Fraction] * 7
+            assert all(r.is_exact for r in report.residuals)
+            assert report.passed == all(r == 0 for r in residuals)

@@ -170,6 +170,41 @@ class TestNormalization:
         assert normalize(w, ctx50) is w
 
 
+class TestNodeSet:
+    """The node data a weight keeps (Weight.nodes) are no part of its value."""
+
+    def test_normalize_hands_the_node_set_on(self, ctx50):
+        raw = parse_weight("exp(-x)*(1+x)", Interval(0, "inf"))
+        w = normalize(raw, ctx50)
+        assert w.nodes is raw.nodes and len(w.nodes) == 1
+        moments(w, 5, context=ctx50)
+        assert len(w.nodes) == 1  # the same precision, the same node set
+
+    @pytest.mark.parametrize("text,interval", [
+        ("exp(-x)*(1+x)", Interval(0, "inf")),
+        ("x^(3/2)*(1-x)", Interval(0, 1)),
+    ])
+    def test_equality_hash_and_repr_ignore_the_nodes(self, text, interval, ctx50):
+        used = normalize(parse_weight(text, interval), ctx50)
+        before = (repr(used), hash(used))
+        moments(used, 7, context=ctx50)
+        fresh = normalize(parse_weight(text, interval), ctx50)
+        fresh.nodes.clear()
+        assert used.nodes and not fresh.nodes
+        assert used == fresh
+        assert (repr(used), hash(used)) == before == (repr(fresh), hash(fresh))
+        assert "nodes" not in repr(used)
+
+    def test_preset_equality_hash_and_repr_ignore_the_nodes(self, ctx50):
+        used = preset_weight("jacobi-add", p=3, q=2)
+        before = (repr(used), hash(used))
+        moments(used, 5, context=ctx50, method="quadrature")
+        assert used.nodes
+        fresh = preset_weight("jacobi-add", p=3, q=2)
+        assert used == fresh
+        assert (repr(used), hash(used)) == before == (repr(fresh), hash(fresh))
+
+
 def _rational(value):
     return sp.Rational(value.numerator, value.denominator)
 
