@@ -9,6 +9,10 @@ The degree-n solution exists iff det B_n != 0; the normalization factor is
 
     G_n = (det C_n)(det C_(n+1)) / (det B_n)^2 = <x P_n^2>.
 
+Every determinant here, and the dense solve, is one linalg elimination;
+on exact rational moments that elimination runs fraction-free on
+integer rows and forms one Fraction per result.
+
 Exact solves take a third route. The conditions <x^k P_n> = delta_(k,0)
 say that P_n = pi_n / <pi_n>_w, pi_n being the monic orthogonal polynomial
 of the moments nu_j = m_(j+1) (those of x w(x)); the Chebyshev algorithm
@@ -51,10 +55,15 @@ class HankelSystem:
 
     @staticmethod
     def from_moments(m, n: int) -> "HankelSystem":
-        _require(m, 2 * n + 1, f"HankelSystem(n={n})")
-        B = tuple(tuple(m[k + j] for j in range(n + 1)) for k in range(n + 1))
+        B = tuple(map(tuple, _b_rows(m, n)))
         C = tuple(tuple(m[k + j + 1] for j in range(n)) for k in range(n))
         return HankelSystem(n, B, C)
+
+
+def _b_rows(m, n: int):
+    """The rows of B_n, m_(k+j) for k, j = 0..n."""
+    _require(m, 2 * n + 1, f"HankelSystem(n={n})")
+    return [[m[k + j] for j in range(n + 1)] for k in range(n + 1)]
 
 
 def hankel_condition(m, n: int, *, context: PrecisionContext | None = None):
@@ -70,13 +79,13 @@ def hankel_condition(m, n: int, *, context: PrecisionContext | None = None):
     fast-growing positive-measure Hankel matrix as singular, so the
     per-pivot form is used.)
     """
-    system = HankelSystem.from_moments(m, n)
-    corner = system.B[0][0]
+    rows = _b_rows(m, n)
+    corner = rows[0][0]
     if corner.is_exact:
         threshold = None
     else:
         threshold = tolerance(context or PrecisionContext(corner.precision), 15)
-    det, collapsed = det_lu_flag([list(row) for row in system.B], threshold)
+    det, collapsed = det_lu_flag(rows, threshold)
     return det, not collapsed
 
 
@@ -95,14 +104,14 @@ def solve_polynomial(m, n: int, *, context: PrecisionContext | None = None) -> P
         P = recurrence_solve(raw, raw[1:], n)
         if P is not None:
             return P
-    system = HankelSystem.from_moments(m, n)
-    exact = system.B[0][0].is_exact
+    rows = _b_rows(m, n)
+    exact = rows[0][0].is_exact
     if not exact:
         det, valid = hankel_condition(m, n, context=context)
         if not valid:
             raise SingularHankelError(_singular_message(det, n))
     try:
-        return solve_e0([list(row) for row in system.B], _degenerate_message(n))
+        return solve_e0(rows, _degenerate_message(n))
     except SingularSystemError as exc:
         message = _singular_message(0, n) if exact else f"B_{n} system is singular: {exc}"
         raise SingularHankelError(message) from exc

@@ -7,14 +7,24 @@ raw values and wraps the results once at the end.
 
 Exact eliminations take the first nonzero pivot (exact arithmetic gains
 nothing from magnitude pivoting), so exact quotients stay exact and the
-determinant is exact. Float solves pivot fully and float determinants
+determinant is exact. Exact rational matrices are cleared to integer rows
+(numeric.integer_rows) and eliminated fraction-free by Bareiss' rule
+(Math. Comp. 22 (1968) 565-578): each step replaces an entry by
+(pivot * entry - factor * top) // previous pivot, an exact integer
+division, and one Fraction is formed per result. Bareiss entries are
+nonzero multiples of the Gaussian ones, so the pivots, the singular steps
+and the results are those of Fraction elimination. IPiFraction matrices
+keep the Gaussian loop. Float solves pivot fully and float determinants
 partially, by magnitude at working precision.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import prod
+
 from .errors import SingularSystemError
-from .numeric import PrecisionContext, Scalar, unwrap
+from .numeric import PrecisionContext, Scalar, integer_rows, unwrap
 
 
 def solve_full_pivot(matrix, rhs):
@@ -22,7 +32,11 @@ def solve_full_pivot(matrix, rhs):
     n = len(matrix)
     a, precision = unwrap(*(list(row) + [rhs[i]] for i, row in enumerate(matrix)))
     fabs = None if precision is None else PrecisionContext(precision).mp.fabs
+    cleared = integer_rows(a) if precision is None else None
+    if cleared is not None:
+        a = cleared[0]  # scaling a row of [A | b] leaves x unchanged
     col_of = list(range(n))  # col_of[j] = original column stored at position j
+    prev = 1 if cleared else None
     for step in range(n):
         nonzero = ((r, c) for r in range(step, n) for c in range(step, n) if a[r][c])
         if fabs is None:
@@ -39,23 +53,46 @@ def solve_full_pivot(matrix, rhs):
                 row[step], row[c] = row[c], row[step]
             col_of[step], col_of[c] = col_of[c], col_of[step]
         top = a[step]
-        pivot = top[step]
         for row in a[step + 1:]:
-            if not row[step]:
-                continue
-            factor = row[step] / pivot
-            for c in range(step + 1, n + 1):
-                row[c] = row[c] - factor * top[c]
-    x = [None] * n
-    for i in range(n - 1, -1, -1):
-        acc = a[i][n]
-        for j in range(i + 1, n):
-            acc = acc - a[i][j] * x[j]
-        x[i] = acc / a[i][i]
+            _eliminate(row, top, step, n + 1, prev)
+        if cleared:
+            prev = top[step]
+    if cleared:
+        # the last pivot is det of the scaled, permuted A, so by Cramer's
+        # rule each prev * x_i is an integer
+        y = [0] * n
+        for i in range(n - 1, -1, -1):
+            row = a[i]
+            y[i] = (row[n] * prev - sum(row[j] * y[j] for j in range(i + 1, n))) // row[i]
+        x = [Fraction(v, prev) for v in y]
+    else:
+        x = [None] * n
+        for i in range(n - 1, -1, -1):
+            acc = a[i][n]
+            for j in range(i + 1, n):
+                acc = acc - a[i][j] * x[j]
+            x[i] = acc / a[i][i]
     out = [None] * n
     for pos, col in enumerate(col_of):
         out[col] = Scalar(x[pos], precision)
     return out
+
+
+def _eliminate(row, top, i, end, prev):
+    """Clear column i of row against the pivot row top, in columns i+1..end-1.
+
+    With prev, the pivot of the step before, integer rows take Bareiss'
+    update, which every row needs, a zero factor included. Without it,
+    Gaussian elimination leaves a row with a zero factor as it is.
+    """
+    pivot, f = top[i], row[i]
+    if prev is not None:
+        for c in range(i + 1, end):
+            row[c] = (pivot * row[c] - f * top[c]) // prev
+    elif f:
+        factor = f / pivot
+        for c in range(i + 1, end):
+            row[c] = row[c] - factor * top[c]
 
 
 def determinant(matrix) -> Scalar:
@@ -78,8 +115,12 @@ def det_lu_flag(matrix, rel_threshold):
     a, precision = unwrap(*matrix)
     n = len(a)
     fabs = None if precision is None else PrecisionContext(precision).mp.fabs
+    cleared = integer_rows(a) if precision is None else None
+    if cleared is not None:
+        a, scales = cleared
     sign = 1
     det = None
+    prev = 1 if cleared else None
     collapsed = False
     for i in range(n):
         if fabs is None:
@@ -96,17 +137,18 @@ def det_lu_flag(matrix, rel_threshold):
                 if best_mag <= rel_threshold * max(1, sub_max):
                     collapsed = True
         if not a[best][i]:
-            return Scalar(a[0][0] - a[0][0], precision), True
+            return Scalar(Fraction(0) if fabs is None else a[0][0] - a[0][0], precision), True
         if best != i:
             a[i], a[best] = a[best], a[i]
             sign = -sign
         top = a[i]
         pivot = top[i]
-        det = pivot if det is None else det * pivot
         for row in a[i + 1:]:
-            if not row[i]:
-                continue
-            factor = row[i] / pivot
-            for c in range(i + 1, n):
-                row[c] = row[c] - factor * top[c]
+            _eliminate(row, top, i, n, prev)
+        if cleared:
+            prev = pivot
+        else:
+            det = pivot if det is None else det * pivot
+    if cleared:  # the last Bareiss pivot is the determinant of the scaled rows
+        det = Fraction(prev, prod(scales))
     return Scalar(-det if sign < 0 else det, precision), collapsed

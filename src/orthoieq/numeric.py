@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
+from math import lcm
 from operator import mul
 
 from mpmath.ctx_mp import MPContext
@@ -259,6 +260,23 @@ def unwrap(*groups):
         raise ModeError(f"mixed float precisions {precisions[0]} and {precisions[1]}")
     ctx = PrecisionContext(precisions[0])
     return [[entry.to_float(ctx).value for entry in group] for group in groups], ctx.precision
+
+
+def integer_rows(rows):
+    """Rows of raw int/Fraction values cleared to integers, and their scales.
+
+    Row i is multiplied by L_i, the lcm of its denominators, so the result
+    holds the integers L_i row[i][j] and the list of L_i. Returns None when
+    some value is not rational (an IPiFraction or an mpmath number).
+    """
+    cleared, scales = [], []
+    for row in rows:
+        if not all(isinstance(v, (int, Fraction)) for v in row):
+            return None
+        scale = lcm(*(v.denominator for v in row))
+        cleared.append([v.numerator * (scale // v.denominator) for v in row])
+        scales.append(scale)
+    return cleared, scales
 
 
 def _to_exact_value(value):

@@ -7,21 +7,25 @@ checks see moment error only.
 Each contraction unwraps its Scalars once by the one rule the package
 shares, numeric.unwrap (exact values stay Fraction or IPiFraction; exact
 entries meet float ones at the float precision they share), computes on
-the raw values and wraps its results once. Each sum adds its terms in
-the order Scalar arithmetic would, and an exact factor (a power of g,
-a_k C(k, i)) is formed exactly before it meets a float one, so a
-polynomial of one mode against moments of one mode gives the bits of
-the elementwise Scalar computation.
+the raw values and wraps its results once. A sum of rational terms adds
+them on integer numerators and denominators and reduces once; any other
+sum adds its terms in the order Scalar arithmetic would. An exact factor
+(a power of g, a_k C(k, i)) is formed exactly before it meets a float
+one, so a polynomial of one mode against moments of one mode gives the
+value, and in float mode the bits, of the elementwise Scalar computation.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+from itertools import chain, islice
 from math import comb
 
 from .errors import DegenerateDegreeError, InsufficientMomentsError
 from .numeric import PrecisionContext, Scalar, unwrap
 
 _ZERO = Scalar.exact(0)
+_RATIONAL = (int, Fraction)
 
 
 class Polynomial:
@@ -111,7 +115,22 @@ def _convolve(a, b):
 
 
 def _dot(a, b):
-    """sum_j a_j b_j over the length of a, terms added in ascending j."""
+    """sum_j a_j b_j over the length of a, terms added in ascending j.
+
+    Rational terms add on unreduced integer numerators and denominators,
+    and one Fraction is formed at the end; other values (IPiFraction,
+    mpmath numbers) add in the order Scalar arithmetic would.
+    """
+    if all(isinstance(v, _RATIONAL) for v in chain(a, islice(b, len(a)))):
+        num, den = 0, 1
+        for x, y in zip(a, b):
+            d = x.denominator * y.denominator
+            if d == den:
+                num += x.numerator * y.numerator
+            else:
+                num = num * d + x.numerator * y.numerator * den
+                den *= d
+        return Fraction(num, den)
     acc = a[0] * b[0]
     for j in range(1, len(a)):
         acc = acc + a[j] * b[j]

@@ -180,9 +180,10 @@ def verify(P: Polynomial, w: Weight, form, samples=None, *, mode: str = "float",
     else:
         raise ConfigurationError(f"unknown equation form {form!r}")
 
-    residuals = [_abs_scalar(d, context) for d in _differences(P, rhs, samples)]
+    differences, p_values = _differences(P, rhs, samples)
+    residuals = [_abs_scalar(d, context) for d in differences]
     max_residual, passed = _verdict(
-        residuals, qbound, context, lambda: [P.eval(x).magnitude() for x in samples]
+        residuals, qbound, context, lambda: [v.magnitude() for v in p_values]
     )
     return VerificationReport(
         form=form,
@@ -196,16 +197,18 @@ def verify(P: Polynomial, w: Weight, form, samples=None, *, mode: str = "float",
 
 
 def _differences(P, rhs, samples):
-    """P(x) - rhs(x) at each sample.
+    """P(x) - rhs(x) at each sample, and the values P(x) (None when exact).
 
     When P, rhs and the samples are all exact, the coefficients of P - rhs
     are formed once on raw values and that one polynomial is evaluated by
     Horner: exact arithmetic gives the same values as evaluating both sides.
-    Float mode evaluates both sides, since its rounding differs.
+    Float mode evaluates both sides, since its rounding differs, and hands
+    the P(x) values on to the verdict's scale.
     """
     (a, b, xs), precision = unwrap(P.coeffs, rhs.coeffs, samples)
     if precision is not None:
-        return [P.eval(x) - rhs.eval(x) for x in samples]
+        values = [P.eval(x) for x in samples]
+        return [v - rhs.eval(x) for v, x in zip(values, samples)], values
     diff = [u - v for u, v in zip(a, b, strict=True)]  # an image has deg P + 1 coefficients
     out = []
     for x in xs:
@@ -213,7 +216,7 @@ def _differences(P, rhs, samples):
         for c in reversed(diff[:-1]):
             acc = acc * x + c
         out.append(Scalar(acc))
-    return out
+    return out, None
 
 
 def _plain_moments(w, count, mode, context, moment_seq):

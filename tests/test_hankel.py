@@ -248,8 +248,9 @@ class TestNormalizationCrossCheck:
 
 
 def bareiss(matrix):
-    """Fraction-free Bareiss elimination: the independent exact oracle for
-    linalg.determinant, which runs partially pivoted LU in both modes."""
+    """Fraction-free Bareiss elimination on Scalars, with no row clearing:
+    an exact oracle for linalg.determinant (tests/test_linalg.py checks it
+    against plain Fraction Gaussian elimination too)."""
     a = [list(row) for row in matrix]
     n = len(a)
     sign = 1
@@ -384,3 +385,23 @@ class TestRecurrenceFallback:
                 )
             else:
                 assert solve_polynomial(m, n).coeffs == dense_solution(m, n).coeffs
+
+
+class TestSolveBuildsOnlyBn:
+    """solve_polynomial and hankel_condition read B_n alone and never form C_n."""
+
+    def test_no_hankel_system(self, monkeypatch, ctx50):
+        w = preset_weight("uniform-symmetric")  # m_1 = 0: exact solves take the dense route
+        m = moments(w, 10, mode="exact")
+        mf = moments(w, 10, mode="float", context=ctx50)
+        want = [solve_polynomial(m, 4), hankel_condition(m, 4),
+                solve_polynomial(mf, 4), hankel_condition(mf, 4)]
+
+        def no_system(m, n):
+            raise AssertionError("HankelSystem.from_moments ran")
+
+        monkeypatch.setattr(HankelSystem, "from_moments", staticmethod(no_system))
+        assert [solve_polynomial(m, 4), hankel_condition(m, 4),
+                solve_polynomial(mf, 4), hankel_condition(mf, 4)] == want
+        with pytest.raises(AssertionError, match="from_moments ran"):
+            normalization(m, 4)

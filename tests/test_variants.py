@@ -38,6 +38,7 @@ from orthoieq import (
 )
 from orthoieq.hankel import solve_e0
 from orthoieq.linalg import solve_full_pivot
+from orthoieq.numeric import tolerance
 from orthoieq.polynomials import power_table
 
 from conftest import from_sympy
@@ -664,3 +665,26 @@ class TestExactResidualsFromOneDifference:
             assert [type(v) for v in got] == [type(v) for v in residuals] == [Fraction] * 7
             assert all(r.is_exact for r in report.residuals)
             assert report.passed == all(r == 0 for r in residuals)
+
+
+class TestFloatVerifyEvaluatesPOnce:
+    """Float verify evaluates P and its image once per sample; the verdict's
+    scale max(1, |P(x)|) reuses the P(x) values of the residuals."""
+
+    def test_fourteen_evaluations_at_degree_20(self, monkeypatch, ctx50):
+        w = preset_weight("laguerre", gamma=1)
+        m = moments(w, 41, mode="exact")
+        P = Polynomial([c.to_float(ctx50) for c in solve_polynomial(m, 20).coeffs])
+        samples = variants.default_samples(w.interval, context=ctx50)
+        scale = max([ctx50.mp.mpf(1)] + [P.eval(x).magnitude() for x in samples])
+        calls = []
+        evaluate = Polynomial.eval
+
+        def counted(poly, x):
+            calls.append(poly)
+            return evaluate(poly, x)
+
+        monkeypatch.setattr(Polynomial, "eval", counted)
+        report = verify(P, w, Additive(), context=ctx50)
+        assert len(calls) == 14 and sum(poly is P for poly in calls) == 7
+        assert report.passed == (report.max_residual.value <= tolerance(ctx50, 10) * scale)
