@@ -26,7 +26,6 @@ from .errors import (
     WeightSyntaxError,
 )
 from .hankel import (
-    HankelSystem,
     hankel_condition,
     normalization,
     polynomial_via_determinants,

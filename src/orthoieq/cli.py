@@ -31,7 +31,7 @@ from .errors import (
 from .hankel import hankel_condition, normalization, solve_polynomial
 from .moments import moments
 from .numeric import DEFAULT_PRECISION, PrecisionContext, Scalar
-from .polynomials import Polynomial, inner_moment
+from .polynomials import Polynomial
 from .variants import (
     Additive,
     Functional,
@@ -39,15 +39,12 @@ from .variants import (
     Multiplicative,
     check_arbitrary_f,
     enumerate_multiplicative,
+    moment_conditions,
     parity_pattern,
     solve_functional,
     solve_linear_shift,
     solve_multiplicative,
     verify,
-    _abs_scalar,
-    _kernel_moments,
-    _plain_moments,
-    _verdict,
 )
 from .weights import PRESETS, Interval, contour_weight, normalize, parse_weight, preset_weight
 
@@ -440,21 +437,9 @@ def _form_from_args(args, degree):
 
 def _verification_summary(P, w, form, args, context, seq):
     if w.is_contour:
-        # pointwise substitution is undefined on a contour; check the linear
-        # conditions of the form in force instead: <g^k P> = delta_(k,0) for
-        # P(x + g(y)), and <x^k P> = 1 on a multiplicative support
-        n = P.degree
-        one = Scalar.exact(1)
-        if isinstance(form, Multiplicative):
-            m = _plain_moments(w, 2 * n + 1, args.mode, context, seq)
-            deviations = [inner_moment(P, k, m) - one if k in form.pattern or k == n
-                          else P.coefficient(k) for k in range(n + 1)]
-        else:
-            s, _ = _kernel_moments(P, w, form, args.mode, context, seq)
-            deviations = [v - one if k == 0 else v for k, v in enumerate(s)]
         name = "moment-conditions"
-        worst, ok = _verdict([_abs_scalar(d, context) for d in deviations],
-                             Scalar.exact(0), context)
+        worst, ok = moment_conditions(P, w, form, mode=args.mode, context=context,
+                                      moment_seq=seq)
     else:
         report = verify(
             P, w, form, mode=args.mode, context=context, seed=args.seed, moment_seq=seq

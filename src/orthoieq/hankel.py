@@ -1,6 +1,6 @@
 """Degree-n solutions from moments, by the linear-system and determinant-ratio routes.
 
-Both routes hinge on the Hankel matrices
+Both routes hinge on the Hankel blocks, which one builder (_hankel) forms:
 
     B_n[k][j] = m_(k+j)          (n+1 x n+1, B_n[0][0] = m_0 = 1)
     C_n[k][j] = m_(k+j+1)        (n x n, top-left m_1, bottom-right m_(2n-1))
@@ -13,18 +13,20 @@ Every determinant here, and the dense solve, is one linalg elimination;
 on exact rational moments that elimination runs fraction-free on
 integer rows and forms one Fraction per result.
 
-Exact solves take a third route. The conditions <x^k P_n> = delta_(k,0)
-say that P_n = pi_n / <pi_n>_w, pi_n being the monic orthogonal polynomial
-of the moments nu_j = m_(j+1) (those of x w(x)); the Chebyshev algorithm
-builds pi_n in O(n^2) exact operations (Gautschi, Orthogonal Polynomials:
-Computation and Approximation, 2004, section 2.1.7). Float moments, and
-exact ones on which the recurrence breaks down, take the dense solve of
-B_n a = e_0 (float power-moment recurrences are ill-conditioned).
+One solve (solve_kernel) serves every kernel P(x + g(y)) with g a
+polynomial: the additive g = y, the shift a + b y and a polynomial f. Its
+conditions <g^k P_n> = delta_(k,0) have the table <g^k x^j>, which is B_n
+for g = y. For exact moments and an exact linear g they say that
+P_n = pi_n / <pi_n>_w, pi_n being the monic orthogonal polynomial of
+nu_j = a m_j + b m_(j+1) (the moments of g(x) w(x)); the Chebyshev
+algorithm builds pi_n in O(n^2) exact operations (Gautschi, Orthogonal
+Polynomials: Computation and Approximation, 2004, section 2.1.7). Float
+moments, any other g, and a breakdown take the dense solve of the table
+against e_0 (float power-moment recurrences are ill-conditioned).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
@@ -35,7 +37,7 @@ from .errors import (
 )
 from .linalg import det_lu_flag, determinant, solve_full_pivot
 from .numeric import PrecisionContext, Scalar, tolerance
-from .polynomials import Polynomial
+from .polynomials import Polynomial, power_table
 
 
 def _require(m, length, what):
@@ -45,25 +47,12 @@ def _require(m, length, what):
         )
 
 
-@dataclass(frozen=True)
-class HankelSystem:
-    """The degree-n linear system: B_n a = e_0, plus C_n for normalization."""
-
-    n: int
-    B: tuple
-    C: tuple
-
-    @staticmethod
-    def from_moments(m, n: int) -> "HankelSystem":
-        B = tuple(map(tuple, _b_rows(m, n)))
-        C = tuple(tuple(m[k + j + 1] for j in range(n)) for k in range(n))
-        return HankelSystem(n, B, C)
-
-
-def _b_rows(m, n: int):
-    """The rows of B_n, m_(k+j) for k, j = 0..n."""
-    _require(m, 2 * n + 1, f"HankelSystem(n={n})")
-    return [[m[k + j] for j in range(n + 1)] for k in range(n + 1)]
+def _hankel(m, size: int, shift: int = 0):
+    """The size x size Hankel block m_(k+j+shift): B_n is _hankel(m, n + 1),
+    C_n is _hankel(m, n, 1)."""
+    name = f"C_{size}" if shift else f"B_{size - 1}"
+    _require(m, 2 * size - 1 + shift, name)
+    return [[m[k + j + shift] for j in range(size)] for k in range(size)]
 
 
 def hankel_condition(m, n: int, *, context: PrecisionContext | None = None):
@@ -79,7 +68,7 @@ def hankel_condition(m, n: int, *, context: PrecisionContext | None = None):
     fast-growing positive-measure Hankel matrix as singular, so the
     per-pivot form is used.)
     """
-    rows = _b_rows(m, n)
+    rows = _hankel(m, n + 1)
     corner = rows[0][0]
     if corner.is_exact:
         threshold = None
@@ -90,39 +79,46 @@ def hankel_condition(m, n: int, *, context: PrecisionContext | None = None):
 
 
 def solve_polynomial(m, n: int, *, context: PrecisionContext | None = None) -> Polynomial:
-    """Coefficients of the unique degree-n solution of B_n a = e_0.
-
-    Exact moments go through the Chebyshev recurrence (recurrence_solve)
-    with nu_j = m_(j+1). Float moments, and exact ones on which it breaks
-    down, solve B_n densely: an exact B_n is singular iff its elimination
-    runs out of pivots, so only float mode runs hankel_condition first, for
-    its pivot-collapse check.
+    """Coefficients of the unique degree-n solution of B_n a = e_0: solve_kernel
+    for g = y. An exact B_n is singular iff its elimination runs out of
+    pivots, so only float mode runs hankel_condition first, for its
+    pivot-collapse check.
     """
-    _require(m, 2 * n + 1, f"HankelSystem(n={n})")
-    raw = exact_values(m, 2 * n + 1)
-    if raw is not None:
-        P = recurrence_solve(raw, raw[1:], n)
-        if P is not None:
-            return P
-    rows = _b_rows(m, n)
-    exact = rows[0][0].is_exact
+    _require(m, 2 * n + 1, f"B_{n}")
+    exact = m[0].is_exact
     if not exact:
         det, valid = hankel_condition(m, n, context=context)
         if not valid:
             raise SingularHankelError(_singular_message(det, n))
     try:
-        return solve_e0(rows, _degenerate_message(n))
+        return solve_kernel(m, n, [0, 1], _degenerate_message(n))
     except SingularSystemError as exc:
         message = _singular_message(0, n) if exact else f"B_{n} system is singular: {exc}"
         raise SingularHankelError(message) from exc
 
 
-def exact_values(m, count):
-    """The raw values of m_0..m_(count-1) when all are exact, else None."""
-    values = [m[j] for j in range(count)]
-    if all(v.is_exact for v in values):
-        return [v.value for v in values]
-    return None
+def solve_kernel(m, n: int, g, degenerate_message: str) -> Polynomial:
+    """The degree-n solution of <g^k P> = delta_(k,0), k = 0..n, for g the
+    ascending coefficients (raw or Scalars) of a nonconstant polynomial: the
+    recurrence on nu_j = a m_j + b m_(j+1) for exact moments and an exact
+    linear g (nu = m[1:] for g = y), else, and on a breakdown, the dense
+    solve of B_n (g = y) or of power_table. Raises SingularSystemError when
+    the table runs out of pivots.
+    """
+    g = Polynomial(g).coeffs
+    raw_g = [c.value for c in g] if all(c.is_exact for c in g) else None
+    additive = raw_g == [0, 1]
+    if raw_g is not None and len(raw_g) == 2:
+        values = [m[j] for j in range(2 * n + 1)]
+        if all(v.is_exact for v in values):
+            raw = [v.value for v in values]
+            a, b = raw_g
+            nu = raw[1:] if additive else [a * raw[j] + b * raw[j + 1] for j in range(2 * n)]
+            P = recurrence_solve(raw, nu, n)
+            if P is not None:
+                return P
+    table = _hankel(m, n + 1) if additive else power_table(g, n, m, n + 1)
+    return solve_e0(table, degenerate_message)
 
 
 def recurrence_solve(m, nu, n: int) -> Polynomial | None:
@@ -180,7 +176,7 @@ def polynomial_via_determinants(m, n: int, *, context: PrecisionContext | None =
     det, valid = hankel_condition(m, n, context=context)
     if not valid:
         raise SingularHankelError(_singular_message(det, n))
-    rows = [[m[k + j] for j in range(n + 1)] for k in range(1, n + 1)]
+    rows = _hankel(m, n + 1)[1:]
     coeffs = []
     sign = 1
     for j in range(n + 1):
@@ -229,8 +225,6 @@ def normalization(m, n: int, *, context: PrecisionContext | None = None) -> Scal
         raise SingularHankelError(
             f"det B_{n} = {det_b} is zero (or below the validity threshold); G_{n} undefined"
         )
-    c_n = HankelSystem.from_moments(m, n).C
-    c_n1 = tuple(tuple(m[k + j + 1] for j in range(n + 1)) for k in range(n + 1))
-    det_cn = determinant([list(row) for row in c_n])
-    det_cn1 = determinant([list(row) for row in c_n1])
+    det_cn = determinant(_hankel(m, n, 1))
+    det_cn1 = determinant(_hankel(m, n + 1, 1))
     return det_cn * det_cn1 / (det_b * det_b)

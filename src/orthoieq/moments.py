@@ -81,7 +81,7 @@ def moments(w: Weight, count: int, *, mode: str = "float",
         raise ConfigurationError("contour moments have no quadrature form")
 
     if w.is_contour or w.is_preset and method != "quadrature":
-        values = [Scalar.exact(w.body.moment(n)) for n in range(count)]
+        values = [Scalar.exact(v) for v in w.body.moments(count)]
         if mode == "float":
             values = [v.to_float(context) for v in values]
         return MomentSequence(tuple(values), "contour" if w.is_contour else "analytic",
@@ -102,7 +102,7 @@ def moments(w: Weight, count: int, *, mode: str = "float",
 def contour_moments(winding: int, count: int, *, mode: str = "float",
                     context: PrecisionContext | None = None) -> MomentSequence:
     """Closed-form moments of the winding-k contour weight 1/(c x), c = i pi (2k+1)
-    (weights.Contour.moment); float mode rounds the exact values once."""
+    (weights.Contour.moments); float mode rounds the exact values once."""
     if count < 1:
         raise ConfigurationError("count must be at least 1 (m_0)")
     return moments(contour_weight(winding), count, mode=mode, context=context)

@@ -10,16 +10,17 @@ Forms (kernel inside integral of w(y) P(y) ...):
 
 Additive, LinearShift and Functional are one kernel, P(x + g(y)) with
 g(y) = y, a + b y or f(y). Each reduces to the linear conditions
-<g^k P> = delta_(k,0), k = 0..n (hankel.solve_e0), and its right side is
-the binomial image of s_r = <g(y)^r P(y)> (_kernel_moments). For a
-polynomial g, one contraction (polynomials.power_table) expands the
-powers of g against the plain moments, for the solver's table and for
-s_r alike (for g = y, s_r is <y^r P> itself and nothing is expanded);
-any other f integrates the table <f^k x^j>. ArbitraryF's
+<g^k P> = delta_(k,0), k = 0..n, which hankel.solve_kernel solves for
+every polynomial g (any other f solves the integrated table <f^k x^j>),
+and its right side is the binomial image of s_r = <g(y)^r P(y)>
+(_kernel_moments: one contraction for a polynomial g, nothing expanded
+for g = y; any other f integrates). ArbitraryF's
 right side is the binomial image of <y^r f[P(y)]>; Multiplicative solves
 <x^k P> = 1 on its support and has its own image. One verdict rule
 (_verdict) judges the residuals of every form: exact moments give exact
-residuals, integrated tables and f[P(y)] carry a quadrature bound.
+residuals, integrated tables and f[P(y)] carry a quadrature bound. On a
+contour, where pointwise substitution is undefined, moment_conditions
+judges the linear conditions themselves.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .errors import (
     InsufficientMomentsError,
     SingularSystemError,
 )
-from .hankel import exact_values, recurrence_solve, solve_e0, solve_polynomial, vanishes
+from .hankel import solve_e0, solve_kernel, solve_polynomial, vanishes
 from .linalg import solve_full_pivot
 from .moments import MomentSequence, generalized_moments, moments
 from .numeric import PrecisionContext, Scalar, scalar_eq, tolerance, unwrap
@@ -45,7 +46,6 @@ from .polynomials import (
     binomial_image,
     inner_moment,
     multiplicative_image,
-    power_table,
 )
 from .quadrature import working_context
 from .weights import Weight
@@ -194,6 +194,25 @@ def verify(P: Polynomial, w: Weight, form, samples=None, *, mode: str = "float",
         passed=passed,
         complex_shift=isinstance(form, LinearShift) and form.complex_shift,
     )
+
+
+def moment_conditions(P: Polynomial, w: Weight, form, *, mode: str = "float",
+                      context: PrecisionContext | None = None,
+                      moment_seq: MomentSequence | None = None):
+    """The worst deviation from the form's linear conditions, and its verdict:
+    <g^k P> = delta_(k,0), k = 0..n, for the kernel P(x + g(y)), and for
+    Multiplicative <x^k P> = 1 on the support (pattern and n), a_k = 0 off it."""
+    context = context or PrecisionContext()
+    n = P.degree
+    one = Scalar.exact(1)
+    if isinstance(form, Multiplicative):
+        m = _plain_moments(w, 2 * n + 1, mode, context, moment_seq)
+        deviations = [inner_moment(P, k, m) - one if k in form.pattern or k == n
+                      else P.coefficient(k) for k in range(n + 1)]
+    else:
+        s, _ = _kernel_moments(P, w, form, mode, context, moment_seq)
+        deviations = [v - one if k == 0 else v for k, v in enumerate(s)]
+    return _verdict([_abs_scalar(d, context) for d in deviations], Scalar.exact(0), context)
 
 
 def _differences(P, rhs, samples):
@@ -364,25 +383,23 @@ def enumerate_multiplicative(m, n: int, *, context: PrecisionContext | None = No
 
 
 def _distinct_count(candidates, context):
-    distinct = []
-    for cand in candidates:
-        if not cand.succeeded:
-            continue
-        if not any(_poly_close(cand.polynomial, q, context) for q in distinct):
-            distinct.append(cand.polynomial)
-    return len(distinct)
-
-
-def _poly_close(P, Q, context):
-    if P.degree != Q.degree:
-        return False
-    if all(c.is_exact for c in P.coeffs) and all(c.is_exact for c in Q.coeffs):
-        return all(scalar_eq(a, b) for a, b in zip(P.coeffs, Q.coeffs))
+    """The number of distinct successful polynomials. Exact polynomials are
+    equal exactly when their coefficients are, so a set counts them; float
+    ones count as one when every coefficient agrees to 10^(10-p)."""
+    polys = [cand.polynomial for cand in candidates if cand.succeeded]
+    if all(c.is_exact for P in polys for c in P.coeffs):
+        return len(set(polys))
     ctx = context or PrecisionContext(
-        next(c.precision for c in P.coeffs + Q.coeffs if not c.is_exact)
+        next(c.precision for P in polys for c in P.coeffs if not c.is_exact)
     )
     tol = tolerance(ctx, 10)
-    return all(scalar_eq(a, b, tol=tol) for a, b in zip(P.coeffs, Q.coeffs))
+    distinct = []
+    for P in polys:
+        if not any(P.degree == Q.degree
+                   and all(scalar_eq(a, b, tol=tol) for a, b in zip(P.coeffs, Q.coeffs))
+                   for Q in distinct):
+            distinct.append(P)
+    return len(distinct)
 
 
 def parity_pattern(n: int) -> frozenset:
@@ -411,13 +428,9 @@ def parity_measure_moments(m, N: int):
 
 
 def solve_linear_shift(m, n: int, a, b, *, context: PrecisionContext | None = None) -> Polynomial:
-    """Solve <(a+bx)^k P> = delta_(k,0) for k = 0..n.
-
-    For k >= 1 the conditions say that P is orthogonal to (a+bx) Pi_(n-1),
-    so exact moments go through the recurrence on the measure (a+bx) w,
-    nu_j = a m_j + b m_(j+1); float moments, and exact ones on which it
-    breaks down, solve the table <(a+bx)^k x^j> densely.
-    """
+    """Solve <(a+bx)^k P> = delta_(k,0) for k = 0..n: hankel.solve_kernel for
+    g = a + b x, which runs the recurrence on the measure (a+bx) w when the
+    moments and a, b are exact."""
     a = _scalarize(a)
     b = _scalarize(b)
     if b.is_zero():
@@ -426,15 +439,8 @@ def solve_linear_shift(m, n: int, a, b, *, context: PrecisionContext | None = No
         raise InsufficientMomentsError(
             f"degree {n} needs m_0..m_{2 * n}, got {len(m)} moments"
         )
-    raw = exact_values(m, 2 * n + 1)
-    if raw is not None and a.is_exact and b.is_exact:
-        nu = [a.value * raw[j] + b.value * raw[j + 1] for j in range(2 * n)]
-        P = recurrence_solve(raw, nu, n)
-        if P is not None:
-            return P
-    return solve_e0(
-        power_table([a, b], n, m, n + 1),
-        f"leading coefficient vanished for shift (a={a}, b={b}) at degree {n}",
+    return solve_kernel(
+        m, n, [a, b], f"leading coefficient vanished for shift (a={a}, b={b}) at degree {n}"
     )
 
 
@@ -444,9 +450,12 @@ def solve_linear_shift(m, n: int, a, b, *, context: PrecisionContext | None = No
 
 def solve_functional(w: Weight, f, n: int, *, context: PrecisionContext | None = None,
                      mode: str = "float") -> Polynomial:
-    """Solve <f(x)^k P> = delta_(k,0) for k = 0..n via generalized moments.
+    """Solve <f(x)^k P> = delta_(k,0) for k = 0..n.
 
-    A polynomial f contracts the plain moments of the given mode.
+    The identity is the additive solve; a polynomial f is hankel.solve_kernel
+    on the plain moments of the given mode (an exact linear f takes the
+    recurrence, as the shift form does); any other f solves the
+    integrated table <f^k x^j>.
     """
     if isinstance(f, str):
         f = ex.parse_expression(f)
@@ -455,11 +464,10 @@ def solve_functional(w: Weight, f, n: int, *, context: PrecisionContext | None =
         m = moments(w, 2 * n + 1, mode=mode, context=context)
         return solve_polynomial(m, n, context=context)
     g = _polynomial_argument(Functional(f))
+    message = f"leading coefficient vanished for functional argument at degree {n}"
     if g is None:
-        table = generalized_moments(w, f, n, n, context=context)
-    else:
-        table = power_table(g, n, moments(w, len(g) * n + 1, mode=mode, context=context), n + 1)
-    return solve_e0(table, f"leading coefficient vanished for functional argument at degree {n}")
+        return solve_e0(generalized_moments(w, f, n, n, context=context), message)
+    return solve_kernel(moments(w, len(g) * n + 1, mode=mode, context=context), n, g, message)
 
 
 def check_functional_orthogonality(Pn: Polynomial, Pm: Polynomial, w: Weight, f, *,

@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 
 from . import expressions as ex
 from .errors import ConfigurationError, IntegrabilityError, NormalizationError
@@ -110,8 +111,8 @@ class Preset:
     A body supplies interval(); raw_text(), the unnormalized body as
     expression text (for quadrature cross-checks); exponents(), its endpoint
     power-law exponents; divisor(mp), the integral of the raw body at the
-    precision of mpmath context mp; and moment(n), the n-th moment of the
-    normalized weight as an exact rational.
+    precision of mpmath context mp; and moments(count), the moments
+    m_0..m_(count-1) of the normalized weight as exact rationals.
     """
 
     def exponents(self):
@@ -137,16 +138,6 @@ def _product_text(parts):
     return "*".join(parts) if parts else "1"
 
 
-def _ratio_product(a: Fraction, b: Fraction, n: int) -> Fraction:
-    # prod_{j<n} (a+j)/(b+j)
-    num = Fraction(1)
-    den = Fraction(1)
-    for j in range(n):
-        num *= a + j
-        den *= b + j
-    return num / den
-
-
 @dataclass(frozen=True)
 class Laguerre(Preset):
     """x^(gamma-1) e^(-x) on (0, inf), gamma >= 1."""
@@ -168,9 +159,10 @@ class Laguerre(Preset):
     def divisor(self, mp):
         return mp.gamma(self.gamma)
 
-    def moment(self, n):
-        # rising factorial gamma (gamma+1) ... (gamma+n-1)
-        return _ratio_product(self.gamma, Fraction(1), n) * math.factorial(n)
+    def moments(self, count):
+        # the rising factorial m_(n+1) = m_n (gamma+n)
+        return list(accumulate(range(count - 1), lambda m, n: m * (self.gamma + n),
+                               initial=Fraction(1)))
 
 
 @dataclass(frozen=True)
@@ -195,8 +187,11 @@ class Beta(Preset):
     def divisor(self, mp):
         return mp.beta(self.a + 1, self.b + 1)
 
-    def moment(self, n):
-        return _ratio_product(self.a + 1, self.a + self.b + 2, n)
+    def moments(self, count):
+        # m_(n+1) = m_n (a+1+n) / (a+b+2+n)
+        return list(accumulate(range(count - 1),
+                               lambda m, n: m * (self.a + 1 + n) / (self.a + self.b + 2 + n),
+                               initial=Fraction(1)))
 
 
 @dataclass(frozen=True)
@@ -212,8 +207,8 @@ class UniformSymmetric(Preset):
     def divisor(self, mp):
         return mp.mpf(2)
 
-    def moment(self, n):
-        return Fraction(0) if n % 2 else Fraction(1, n + 1)
+    def moments(self, count):
+        return [Fraction(0) if n % 2 else Fraction(1, n + 1) for n in range(count)]
 
 
 @dataclass(frozen=True)
@@ -253,7 +248,7 @@ class Contour:
 
     Body 1/(c x) with c = i pi (2k+1); m0 = 1 by construction, so the
     normalization constant is c itself. The weight is never sampled
-    pointwise; its moments come in closed form (moment).
+    pointwise; its moments come in closed form (moments).
     """
 
     winding: int
@@ -265,12 +260,12 @@ class Contour:
     def constant(self) -> Scalar:
         return I_PI * (2 * self.winding + 1)
 
-    def moment(self, n):
+    def moments(self, count):
         """m_0 = 1 and m_n = (1 - (-1)^n) / (n c): for n >= 1 the integrand is
         entire, so the path collapses to the real axis and only c keeps k."""
-        if n == 0:
-            return Fraction(1)
-        return Fraction(2, n) / self.constant().value if n % 2 else Fraction(0)
+        c = self.constant().value
+        return [Fraction(1)] + [Fraction(2, n) / c if n % 2 else Fraction(0)
+                                for n in range(1, count)]
 
 
 # ---------------------------------------------------------------------------

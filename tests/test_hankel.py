@@ -6,12 +6,12 @@ import sympy as sp
 
 from orthoieq import (
     DegenerateDegreeError,
-    HankelSystem,
     InsufficientMomentsError,
     MomentSequence,
     Polynomial,
     Scalar,
     SingularHankelError,
+    SingularSystemError,
     contour_moments,
     hankel_condition,
     inner_moment,
@@ -21,16 +21,17 @@ from orthoieq import (
     polynomial_via_determinants,
     preset_weight,
     scalar_eq,
+    solve_functional,
     solve_linear_shift,
     solve_polynomial,
 )
 from orthoieq import hankel
-from orthoieq.hankel import recurrence_solve, solve_e0
+from orthoieq.hankel import _hankel, recurrence_solve, solve_e0, solve_kernel
 from orthoieq.linalg import determinant
 from orthoieq.numeric import IPiFraction
 from orthoieq.polynomials import power_table
 
-from conftest import ADDITIVE_PRESETS, from_sympy, make_weight
+from conftest import ADDITIVE_PRESETS, I_PI, from_sympy, make_weight
 
 TOL35 = Fraction(1, 10**35)
 
@@ -90,18 +91,33 @@ def random_rational_moments(rng, count=7):
 
 
 class TestHankelSystem:
+    """The Hankel blocks B_n = _hankel(m, n + 1) and C_n = _hankel(m, n, 1)."""
+
     def test_matrix_layout(self):
         m = MomentSequence.from_values([1, 2, 3, 4, 5, 6, 7])
-        sys2 = HankelSystem.from_moments(m, 2)
-        got_B = [[v.as_fraction() for v in row] for row in sys2.B]
+        got_B = [[v.as_fraction() for v in row] for row in _hankel(m, 3)]
         assert got_B == [[1, 2, 3], [2, 3, 4], [3, 4, 5]]
-        got_C = [[v.as_fraction() for v in row] for row in sys2.C]
+        got_C = [[v.as_fraction() for v in row] for row in _hankel(m, 2, 1)]
         assert got_C == [[2, 3], [3, 4]]  # top-left m_1, bottom-right m_3
 
     def test_requires_2n_plus_1(self):
         m = MomentSequence.from_values([1, 2, 3])
         with pytest.raises(InsufficientMomentsError):
-            HankelSystem.from_moments(m, 2)
+            _hankel(m, 3)
+
+    def test_error_names_the_block(self):
+        m = MomentSequence.from_values([1, 2, 3])
+        for build, text in [
+            (lambda: _hankel(m, 3), "B_2 needs m_0..m_4, got only 3 moments"),
+            (lambda: _hankel(m, 2, 1), "C_2 needs m_0..m_3, got only 3 moments"),
+            (lambda: solve_polynomial(m, 2), "B_2 needs m_0..m_4, got only 3 moments"),
+            (lambda: hankel_condition(m, 2), "B_2 needs m_0..m_4, got only 3 moments"),
+        ]:
+            with pytest.raises(InsufficientMomentsError) as err:
+                build()
+            assert str(err.value) == text
+        assert _hankel(m, 2) == [[m[0], m[1]], [m[1], m[2]]]
+        assert _hankel(m, 1, 1) == [[m[1]]] and _hankel(m, 0, 1) == []
 
 
 class TestClosedForms:
@@ -331,7 +347,7 @@ class TestDeterminantMatchesBareiss:
 
 def dense_solution(m, n):
     """The dense route: B_n a = e_0 by elimination."""
-    return solve_e0([list(row) for row in HankelSystem.from_moments(m, n).B],
+    return solve_e0(_hankel(m, n + 1),
                     f"solved leading coefficient a_{n},{n} vanished; no degree-{n} solution")
 
 
@@ -397,11 +413,90 @@ class TestSolveBuildsOnlyBn:
         want = [solve_polynomial(m, 4), hankel_condition(m, 4),
                 solve_polynomial(mf, 4), hankel_condition(mf, 4)]
 
-        def no_system(m, n):
-            raise AssertionError("HankelSystem.from_moments ran")
+        def unshifted_only(m, size, shift=0):
+            if shift:
+                raise AssertionError("a shifted Hankel block was built")
+            return _hankel(m, size)
 
-        monkeypatch.setattr(HankelSystem, "from_moments", staticmethod(no_system))
+        monkeypatch.setattr(hankel, "_hankel", unshifted_only)
         assert [solve_polynomial(m, 4), hankel_condition(m, 4),
                 solve_polynomial(mf, 4), hankel_condition(mf, 4)] == want
-        with pytest.raises(AssertionError, match="from_moments ran"):
+        with pytest.raises(AssertionError, match="shifted Hankel block was built"):
             normalization(m, 4)
+
+
+# -- one solve for every kernel P(x + g(y)) -----------------------------------
+
+
+def kernel_outcome(solve):
+    """The coefficients as (type, precision, value), or the error's type and text."""
+    try:
+        return [(type(c.value), c.precision, c.value) for c in solve().coeffs]
+    except (DegenerateDegreeError, SingularSystemError) as exc:
+        return type(exc), str(exc)
+
+
+KERNELS = [[0, 1], [Fraction(3, 2), 2], [Fraction(-1, 3), Fraction(1, 2)], [0, 1, 1]]
+
+
+def kernel_moments(source, ctx):
+    mode = "float" if source.endswith("-float") else "exact"
+    name = source.removesuffix("-float")
+    w = {"laguerre": preset_weight("laguerre", gamma=1),
+         "jacobi-add": preset_weight("jacobi-add", p=3, q=2),
+         "uniform-symmetric": preset_weight("uniform-symmetric")}.get(name)
+    if w is None:
+        return contour_moments(0, 25, mode=mode, context=ctx)
+    return moments(w, 25, mode=mode, context=ctx)
+
+
+class TestSolveKernel:
+    """solve_kernel gives the dense solve of its table power_table(g, n, m, n + 1),
+    value, type and error, whichever route it takes: the recurrence for exact
+    moments and an exact linear g, the dense solve of B_n or of the table
+    otherwise (uniform-symmetric breaks the recurrence down for g = y)."""
+
+    @pytest.mark.parametrize("source", ["laguerre", "jacobi-add", "uniform-symmetric",
+                                        "laguerre-float", "contour", "contour-float"])
+    @pytest.mark.parametrize("g", KERNELS, ids=["y", "shift", "signed-shift", "y^2+y"])
+    def test_equals_the_dense_table_solve(self, source, g, ctx50):
+        m = kernel_moments(source, ctx50)
+        for n in range(9 if len(g) == 2 else 8):
+            want = kernel_outcome(lambda: solve_e0(power_table(g, n, m, n + 1), "degenerate"))
+            assert kernel_outcome(lambda: solve_kernel(m, n, g, "degenerate")) == want
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_complex_shift_on_the_contour(self, mode, ctx50):
+        m = contour_moments(0, 17, mode=mode, context=ctx50)
+        for g in ([I_PI, 1], [Scalar.exact(1), I_PI]):
+            for n in range(9):
+                want = kernel_outcome(lambda: solve_e0(power_table(g, n, m, n + 1), "degenerate"))
+                assert kernel_outcome(lambda: solve_kernel(m, n, g, "degenerate")) == want
+
+    def test_linear_g_runs_the_recurrence_and_no_table(self, monkeypatch):
+        """One recurrence call and no power_table for an exact linear g; the
+        table alone for a quadratic f."""
+        calls = []
+
+        def counted(name, fn):
+            def run(*args):
+                calls.append(name)
+                return fn(*args)
+            monkeypatch.setattr(hankel, name, run)
+
+        counted("recurrence_solve", hankel.recurrence_solve)
+        counted("power_table", hankel.power_table)
+        w = preset_weight("laguerre", gamma=1)
+        m = moments(w, 13, mode="exact")
+        for solve in (lambda: solve_polynomial(m, 6), lambda: solve_linear_shift(m, 6, 1, 2),
+                      lambda: solve_functional(w, "2*x+1", 6, mode="exact")):
+            calls.clear()
+            solve()
+            assert calls == ["recurrence_solve"]
+        assert solve_functional(w, "2*x+1", 6, mode="exact") == solve_linear_shift(m, 6, 1, 2)
+        calls.clear()
+        solve_polynomial(moments(preset_weight("uniform-symmetric"), 9, mode="exact"), 4)
+        assert calls == ["recurrence_solve"]  # it breaks down, and B_n is no power_table
+        calls.clear()
+        solve_functional(w, "x^2+x", 4, mode="exact")
+        assert calls == ["power_table"]

@@ -14,6 +14,7 @@ from orthoieq import (
     LinearShift,
     MomentSequence,
     Multiplicative,
+    MultiplicativeCandidate,
     Polynomial,
     Scalar,
     check_arbitrary_f,
@@ -29,6 +30,7 @@ from orthoieq import (
     parity_pattern,
     polynomials,
     preset_weight,
+    scalar_eq,
     solve_functional,
     solve_linear_shift,
     solve_multiplicative,
@@ -688,3 +690,98 @@ class TestFloatVerifyEvaluatesPOnce:
         report = verify(P, w, Additive(), context=ctx50)
         assert len(calls) == 14 and sum(poly is P for poly in calls) == 7
         assert report.passed == (report.max_residual.value <= tolerance(ctx50, 10) * scale)
+
+
+class TestMomentConditions:
+    """moment_conditions judges a form's linear conditions: <g^k P> = delta_(k,0)
+    for the kernel P(x + g(y)), and <x^k P> = 1 on a multiplicative support
+    with a_k = 0 off it. Exact deviations must vanish, float ones stay within
+    10^(10-p)."""
+
+    FORMS = [(Additive(), [0, 1]), (Functional("x^3+x"), [0, 1, 0, 1]),
+             (Multiplicative(frozenset({0})), None)]
+
+    @staticmethod
+    def solve(w, form, m, ctx):
+        if isinstance(form, Additive):
+            return solve_polynomial(m, 3, context=ctx)
+        if isinstance(form, Functional):
+            return solve_functional(w, form.f, 3, context=ctx, mode="exact" if m[0].is_exact
+                                    else "float")
+        return solve_multiplicative(m, 3, form.pattern, context=ctx)
+
+    @staticmethod
+    def deviations(P, m, form, g):
+        """The deviations formed by Polynomial products and one contraction each."""
+        n = P.degree
+        one = Scalar.exact(1)
+        if g is None:
+            return [inner_moment(P, k, m) - one if k in form.pattern or k == n
+                    else P.coefficient(k) for k in range(n + 1)]
+        power, out = Polynomial([1]), []
+        for k in range(n + 1):
+            value = inner_moment(power * P, 0, m)
+            out.append(value - one if k == 0 else value)
+            power = power * Polynomial([Fraction(c) for c in g])
+        return out
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    @pytest.mark.parametrize("form,g", FORMS, ids=["additive", "x^3+x", "multiplicative"])
+    def test_contour_solutions_pass_and_corrupted_ones_fail(self, form, g, mode, ctx50):
+        w = contour_weight(0)
+        m = moments(w, 13, mode=mode, context=ctx50)
+        P = self.solve(w, form, m, ctx50)
+        bad = Polynomial([P.coeffs[0] + Fraction(1, 10**20)] + list(P.coeffs[1:]))
+        for poly, passes in [(P, True), (bad, False)]:
+            worst, ok = variants.moment_conditions(poly, w, form, mode=mode, context=ctx50)
+            assert ok is passes
+            assert variants.moment_conditions(poly, w, form, mode=mode, context=ctx50,
+                                              moment_seq=m) == (worst, ok)
+            want = max(d.magnitude() for d in self.deviations(poly, m, form, g))
+            if mode == "exact":
+                assert worst.is_exact and worst.magnitude() == want
+                assert worst.is_zero() is passes
+            else:
+                assert scalar_eq(Scalar(worst.magnitude(), 50), Scalar(want, 50),
+                                 tol=tolerance(ctx50, 10))
+
+
+class TestDistinctCount:
+    """Exact candidates are counted by hashing, float ones pairwise to 10^(10-p);
+    both agree with the pairwise rule, duplicates included."""
+
+    @staticmethod
+    def pairwise(polys, tol):
+        distinct = []
+        for P in polys:
+            if not any(P.degree == Q.degree
+                       and all(scalar_eq(a, b, tol=tol) for a, b in zip(P.coeffs, Q.coeffs))
+                       for Q in distinct):
+                distinct.append(P)
+        return len(distinct)
+
+    @pytest.mark.parametrize("source,mode,n", [("jacobi-mult", "exact", 6),
+                                               ("jacobi-mult", "float", 6),
+                                               ("contour", "exact", 5),
+                                               ("contour", "float", 5)])
+    def test_count_equals_the_pairwise_rule(self, source, mode, n, ctx50):
+        w = (contour_weight(0) if source == "contour"
+             else preset_weight("jacobi-mult", p=Fraction(13, 2), q=Fraction(11, 2)))
+        m = moments(w, 2 * n + 1, mode=mode, context=ctx50)
+        candidates, distinct = enumerate_multiplicative(m, n, context=ctx50)
+        tol = tolerance(ctx50, 10)
+        polys = [c.polynomial for c in candidates if c.succeeded]
+        assert distinct == self.pairwise(polys, tol) > 1
+        # each success again, equal (exact) or within the tolerance (float), and
+        # once more moved by far more than the tolerance
+        near = 1 + (0 if mode == "exact" else Fraction(1, 10**45))
+        far = 1 + Fraction(1, 10**20)
+        copies, moved = (
+            [MultiplicativeCandidate(P.pattern, Polynomial([x * factor for x in P.polynomial.coeffs]),
+                                     None) for P in candidates if P.succeeded]
+            for factor in (near, far)
+        )
+        for context in (ctx50, None):
+            assert variants._distinct_count(candidates + copies, context) == distinct
+            assert variants._distinct_count(copies + candidates + moved, context) == 2 * distinct
+        assert variants._distinct_count([c for c in candidates if not c.succeeded], None) == 0

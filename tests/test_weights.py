@@ -265,7 +265,7 @@ class TestClosedFormsMatchSympy:
         exact = moments(w, 31, mode="exact")
         for n in range(31):
             want = SYMPY_MOMENT[name](_params(params), n)
-            got = w.body.moment(n)
+            got = w.body.moments(31)[n]
             assert type(got) is Fraction
             assert got == Fraction(int(want.p), int(want.q))
             assert exact[n] == from_sympy(want)
