@@ -20,9 +20,13 @@ for g = y. For exact moments and an exact linear g they say that
 P_n = pi_n / <pi_n>_w, pi_n being the monic orthogonal polynomial of
 nu_j = a m_j + b m_(j+1) (the moments of g(x) w(x)); the Chebyshev
 algorithm builds pi_n in O(n^2) exact operations (Gautschi, Orthogonal
-Polynomials: Computation and Approximation, 2004, section 2.1.7). Float
-moments, any other g, and a breakdown take the dense solve of the table
-against e_0 (float power-moment recurrences are ill-conditioned).
+Polynomials: Computation and Approximation, 2004, section 2.1.7). Any
+other g, and a breakdown, take the dense solve of the table against e_0.
+Float moments rounded from a closed form carry their exact values
+(MomentSequence.exact): an exact g solves on those and rounds each
+coefficient once. Other float moments (quadrature tables, hand-built
+sequences) take the dense float solve, since float power-moment
+recurrences are ill-conditioned.
 """
 
 from __future__ import annotations
@@ -66,7 +70,11 @@ def hankel_condition(m, n: int, *, context: PrecisionContext | None = None):
     at precision p. (A threshold of 10^(15-p) times the product of row
     max-norms would be the Hadamard worst case; it misclassifies every
     fast-growing positive-measure Hankel matrix as singular, so the
-    per-pivot form is used.)
+    per-pivot form is used.) The float flag describes this floating-point
+    elimination of the rounded moments, not the exact table they may have
+    been rounded from: a regular closed-form B_n can read invalid at low
+    p, and solve_polynomial, which solves such moments exactly, still
+    returns its solution.
     """
     rows = _hankel(m, n + 1)
     corner = rows[0][0]
@@ -81,11 +89,14 @@ def hankel_condition(m, n: int, *, context: PrecisionContext | None = None):
 def solve_polynomial(m, n: int, *, context: PrecisionContext | None = None) -> Polynomial:
     """Coefficients of the unique degree-n solution of B_n a = e_0: solve_kernel
     for g = y. An exact B_n is singular iff its elimination runs out of
-    pivots, so only float mode runs hankel_condition first, for its
-    pivot-collapse check.
+    pivots, so hankel_condition's pivot-collapse check runs first only when
+    the solve eliminates in floating point, i.e. on float moments without
+    exact values; its validity flag describes that floating-point
+    elimination. Closed-form float moments are solved exactly and rounded
+    once, with the exact errors.
     """
     _require(m, 2 * n + 1, f"B_{n}")
-    exact = m[0].is_exact
+    exact = m[0].is_exact or getattr(m, "exact", None) is not None
     if not exact:
         det, valid = hankel_condition(m, n, context=context)
         if not valid:
@@ -102,11 +113,18 @@ def solve_kernel(m, n: int, g, degenerate_message: str) -> Polynomial:
     ascending coefficients (raw or Scalars) of a nonconstant polynomial: the
     recurrence on nu_j = a m_j + b m_(j+1) for exact moments and an exact
     linear g (nu = m[1:] for g = y), else, and on a breakdown, the dense
-    solve of B_n (g = y) or of power_table. Raises SingularSystemError when
-    the table runs out of pivots.
+    solve of B_n (g = y) or of power_table. Float moments that carry exact
+    values and an exact g solve on the exact values, and each coefficient
+    is rounded once at the moments' precision. Raises SingularSystemError
+    when the table runs out of pivots.
     """
     g = Polynomial(g).coeffs
     raw_g = [c.value for c in g] if all(c.is_exact for c in g) else None
+    exact_m = getattr(m, "exact", None)
+    if raw_g is not None and exact_m is not None:
+        context = PrecisionContext(m[0].precision)
+        P = solve_kernel(exact_m, n, g, degenerate_message)
+        return Polynomial([c.to_float(context) for c in P.coeffs])
     additive = raw_g == [0, 1]
     if raw_g is not None and len(raw_g) == 2:
         values = [m[j] for j in range(2 * n + 1)]

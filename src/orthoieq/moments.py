@@ -3,14 +3,15 @@
 Every table comes from one of two places. Presets and contours have
 closed forms on their bodies (exact rationals for presets, rationals over
 i pi for contours); float mode rounds those exact values once to p
-digits. Expression weights, and tables no polynomial contraction reaches,
-are integrated numerically by Weight.integrals, every entry on one node
-set with its own error estimate.
+digits and keeps them on the sequence (MomentSequence.exact), so a solve
+can run on them and round its answer once. Expression weights, and tables
+no polynomial contraction reaches, are integrated numerically by
+Weight.integrals, every entry on one node set with its own error estimate.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import expressions as ex
 from .errors import (
@@ -28,12 +29,18 @@ from .weights import Weight, contour_weight
 
 @dataclass(frozen=True)
 class MomentSequence:
-    """m_0 .. m_N with provenance. m_0 must equal 1 (the weight is normalized)."""
+    """m_0 .. m_N with provenance. m_0 must equal 1 (the weight is normalized).
+
+    A float sequence rounded from a closed form keeps the exact Scalars it
+    was rounded from in `exact`; every other sequence has exact = None.
+    The field takes no part in ==, hash or repr.
+    """
 
     values: tuple
     source: str  # analytic | quadrature | contour
     weight_id: str
     error_estimates: tuple | None = None
+    exact: tuple | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.values:
@@ -82,10 +89,11 @@ def moments(w: Weight, count: int, *, mode: str = "float",
 
     if w.is_contour or w.is_preset and method != "quadrature":
         values = [Scalar.exact(v) for v in w.body.moments(count)]
+        exact = None
         if mode == "float":
-            values = [v.to_float(context) for v in values]
+            exact, values = tuple(values), [v.to_float(context) for v in values]
         return MomentSequence(tuple(values), "contour" if w.is_contour else "analytic",
-                              w.weight_id)
+                              w.weight_id, exact=exact)
 
     if mode == "exact":
         raise ModeError("exact moments need an analytic form; expression weights are numeric")

@@ -3,7 +3,15 @@ from fractions import Fraction
 import pytest
 import sympy as sp
 
-from orthoieq import PrecisionContext, Scalar, contour_weight, preset_weight
+from orthoieq import (
+    DegenerateDegreeError,
+    PrecisionContext,
+    Scalar,
+    SingularHankelError,
+    SingularSystemError,
+    contour_weight,
+    preset_weight,
+)
 
 
 @pytest.fixture(scope="session")
@@ -29,6 +37,18 @@ ALL_PRESETS = ADDITIVE_PRESETS + [
 
 def make_weight(name, params):
     return preset_weight(name, **params)
+
+
+def rounded_outcome(solve, context=None):
+    """(precision, value) per coefficient of solve(), rounded at `context` when
+    given, or the solve error's type and text."""
+    try:
+        coeffs = solve().coeffs
+    except (DegenerateDegreeError, SingularHankelError, SingularSystemError) as exc:
+        return type(exc), str(exc)
+    if context is not None:
+        coeffs = [c.to_float(context) for c in coeffs]
+    return [(c.precision, c.value) for c in coeffs]
 
 
 _T = sp.Symbol("t")  # stands for i pi

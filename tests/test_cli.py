@@ -260,6 +260,17 @@ class TestExitCodesAndReproducibility:
         assert code == 3
         assert "divergent" in err or "failure" in err
 
+    def test_float_pivot_collapse_at_low_precision_is_3(self, capsys):
+        # the degree-6 solve rounds the exact solution; the float det B_6 of
+        # the rounded moments collapses, so G_6 is refused
+        code, out, err = run_cli(
+            capsys, "poly", "--preset", "laguerre", "--gamma", "1", "-n", "6",
+            "--precision", "20",
+        )
+        assert code == 3
+        assert out == ""
+        assert err.rstrip().endswith("is zero (or below the validity threshold); G_6 undefined")
+
     def test_byte_identical_output(self, capsys):
         argv = [
             "poly", "--preset", "chebyshev-u2-add", "--degrees", "0:4", "--seed", "7",

@@ -9,6 +9,7 @@ from orthoieq import (
     InsufficientMomentsError,
     MomentSequence,
     Polynomial,
+    PrecisionContext,
     Scalar,
     SingularHankelError,
     SingularSystemError,
@@ -31,7 +32,7 @@ from orthoieq.linalg import determinant
 from orthoieq.numeric import IPiFraction
 from orthoieq.polynomials import power_table
 
-from conftest import ADDITIVE_PRESETS, I_PI, from_sympy, make_weight
+from conftest import ADDITIVE_PRESETS, I_PI, from_sympy, make_weight, rounded_outcome
 
 TOL35 = Fraction(1, 10**35)
 
@@ -224,8 +225,9 @@ class TestRouteEquivalence:
 
     @pytest.mark.parametrize("name,params", ADDITIVE_PRESETS)
     def test_float_presets_to_8(self, name, params, ctx50):
+        # from_values drops the exact values, so the solve eliminates in floating point
         w = make_weight(name, params)
-        m = moments(w, 17, mode="float", context=ctx50)
+        m = MomentSequence.from_values(moments(w, 17, mode="float", context=ctx50).values)
         for n in range(9):
             a = solve_polynomial(m, n, context=ctx50)
             b = polynomial_via_determinants(m, n, context=ctx50)
@@ -409,7 +411,7 @@ class TestSolveBuildsOnlyBn:
     def test_no_hankel_system(self, monkeypatch, ctx50):
         w = preset_weight("uniform-symmetric")  # m_1 = 0: exact solves take the dense route
         m = moments(w, 10, mode="exact")
-        mf = moments(w, 10, mode="float", context=ctx50)
+        mf = MomentSequence.from_values(moments(w, 10, mode="float", context=ctx50).values)
         want = [solve_polynomial(m, 4), hankel_condition(m, 4),
                 solve_polynomial(mf, 4), hankel_condition(mf, 4)]
 
@@ -440,21 +442,26 @@ KERNELS = [[0, 1], [Fraction(3, 2), 2], [Fraction(-1, 3), Fraction(1, 2)], [0, 1
 
 
 def kernel_moments(source, ctx):
+    """Exact closed-form moments, or for a -float source their rounded values
+    alone (from_values), which the solve eliminates in floating point."""
     mode = "float" if source.endswith("-float") else "exact"
     name = source.removesuffix("-float")
     w = {"laguerre": preset_weight("laguerre", gamma=1),
          "jacobi-add": preset_weight("jacobi-add", p=3, q=2),
          "uniform-symmetric": preset_weight("uniform-symmetric")}.get(name)
     if w is None:
-        return contour_moments(0, 25, mode=mode, context=ctx)
-    return moments(w, 25, mode=mode, context=ctx)
+        m = contour_moments(0, 25, mode=mode, context=ctx)
+    else:
+        m = moments(w, 25, mode=mode, context=ctx)
+    return MomentSequence.from_values(m.values) if mode == "float" else m
 
 
 class TestSolveKernel:
     """solve_kernel gives the dense solve of its table power_table(g, n, m, n + 1),
     value, type and error, whichever route it takes: the recurrence for exact
     moments and an exact linear g, the dense solve of B_n or of the table
-    otherwise (uniform-symmetric breaks the recurrence down for g = y)."""
+    otherwise (uniform-symmetric breaks the recurrence down for g = y).
+    Float moments here carry no exact values, so they take the dense solve."""
 
     @pytest.mark.parametrize("source", ["laguerre", "jacobi-add", "uniform-symmetric",
                                         "laguerre-float", "contour", "contour-float"])
@@ -467,7 +474,7 @@ class TestSolveKernel:
 
     @pytest.mark.parametrize("mode", ["exact", "float"])
     def test_complex_shift_on_the_contour(self, mode, ctx50):
-        m = contour_moments(0, 17, mode=mode, context=ctx50)
+        m = MomentSequence.from_values(contour_moments(0, 17, mode=mode, context=ctx50).values)
         for g in ([I_PI, 1], [Scalar.exact(1), I_PI]):
             for n in range(9):
                 want = kernel_outcome(lambda: solve_e0(power_table(g, n, m, n + 1), "degenerate"))
@@ -500,3 +507,118 @@ class TestSolveKernel:
         calls.clear()
         solve_functional(w, "x^2+x", 4, mode="exact")
         assert calls == ["power_table"]
+
+
+# -- float moments from a closed form: solved exactly, rounded once ----------
+
+
+class TestFloatSolvesRoundTheExactSolve:
+    """A float solve on rounded closed-form moments is the exact solve rounded
+    once at the moments' precision, bit for bit, errors included."""
+
+    PRESETS = [("laguerre", {"gamma": 3}), ("jacobi-add", {"p": 3, "q": 2}),
+               ("chebyshev-u2-add", {}), ("uniform-symmetric", {})]
+
+    @pytest.mark.parametrize("precision", [30, 50])
+    @pytest.mark.parametrize("name,params", PRESETS)
+    def test_presets_to_20(self, name, params, precision):
+        ctx = PrecisionContext(precision)
+        w = make_weight(name, params)
+        exact, rounded = moments(w, 41, mode="exact"), moments(w, 41, context=ctx)
+        for n in range(21):
+            want = rounded_outcome(lambda: solve_polynomial(exact, n), ctx)
+            assert rounded_outcome(lambda: solve_polynomial(rounded, n, context=ctx)) == want
+
+    @pytest.mark.parametrize("precision", [30, 50])
+    def test_contour_to_10(self, precision):
+        ctx = PrecisionContext(precision)
+        exact, rounded = contour_moments(0, 21, mode="exact"), contour_moments(0, 21, context=ctx)
+        for n in range(11):
+            want = rounded_outcome(lambda: solve_polynomial(exact, n), ctx)
+            assert rounded_outcome(lambda: solve_polynomial(rounded, n, context=ctx)) == want
+
+    def test_uniform_symmetric_odd_degrees_are_degenerate(self, ctx50):
+        m = moments(preset_weight("uniform-symmetric"), 21, context=ctx50)
+        for n in range(1, 11, 2):
+            with pytest.raises(DegenerateDegreeError) as err:
+                solve_polynomial(m, n, context=ctx50)
+            assert str(err.value) == (
+                f"solved leading coefficient a_{n},{n} vanished; no degree-{n} solution"
+            )
+
+    def test_singular_exact_table_keeps_the_exact_text(self, ctx50):
+        point_mass = tuple(Scalar.exact(1) for _ in range(3))
+        m = MomentSequence(tuple(v.to_float(ctx50) for v in point_mass), "analytic",
+                           "point-mass", exact=point_mass)
+        with pytest.raises(SingularHankelError) as err:
+            solve_polynomial(m, 1, context=ctx50)
+        assert str(err.value) == (
+            "det B_1 = 0 is zero (or below the validity threshold); no degree-1 solution"
+        )
+
+    @pytest.mark.parametrize("name,params,n,precision", [
+        ("laguerre", {"gamma": 1}, 6, 20), ("laguerre", {"gamma": 1}, 2, 16),
+        ("jacobi-add", {"p": 3, "q": 2}, 5, 20), ("jacobi-add", {"p": 3, "q": 2}, 1, 16),
+    ])
+    def test_float_pivot_collapse_no_longer_refuses(self, name, params, n, precision):
+        """hankel_condition's flag describes the float elimination of the rounded
+        B_n, which collapses here; the exact table is regular and is solved."""
+        ctx = PrecisionContext(precision)
+        w = make_weight(name, params)
+        rounded = moments(w, 2 * n + 1, context=ctx)
+        _, valid = hankel_condition(rounded, n, context=ctx)
+        assert not valid
+        with pytest.raises(SingularHankelError, match=f"no degree-{n} solution"):
+            solve_polynomial(MomentSequence.from_values(rounded.values), n, context=ctx)
+        want = rounded_outcome(lambda: solve_polynomial(moments(w, 2 * n + 1, mode="exact"), n),
+                               ctx)
+        assert rounded_outcome(lambda: solve_polynomial(rounded, n, context=ctx)) == want
+
+
+class TestDenseFloatRoute:
+    """Solves on rounded closed-form moments run no float elimination; the
+    rounded values alone (from_values) and quadrature moments still run the
+    pivot-collapse check and the dense float solve."""
+
+    @staticmethod
+    def eliminations(monkeypatch):
+        """The float eliminations made (exact tables are eliminated too, by
+        the same functions, when the recurrence does not apply)."""
+        calls = []
+        for name in ("det_lu_flag", "solve_full_pivot"):
+            def counted(rows, *args, name=name, fn=getattr(hankel, name)):
+                if not rows[0][0].is_exact:
+                    calls.append(name)
+                return fn(rows, *args)
+            monkeypatch.setattr(hankel, name, counted)
+        return calls
+
+    @staticmethod
+    def solves(m, ctx):
+        return [lambda: solve_polynomial(m, 4, context=ctx),
+                lambda: solve_linear_shift(m, 4, Fraction(3, 2), 2, context=ctx),
+                lambda: solve_kernel(m, 4, [0, 1, 1], "degenerate")]
+
+    def test_closed_form_float_moments_eliminate_nothing(self, monkeypatch, ctx50):
+        calls = self.eliminations(monkeypatch)
+        w = preset_weight("jacobi-add", p=3, q=2)
+        for m in (moments(w, 13, context=ctx50), contour_moments(0, 13, context=ctx50)):
+            for solve in self.solves(m, ctx50):
+                solve()
+        for f in ("2*x+1", "x^2"):
+            solve_functional(w, f, 4, context=ctx50)
+        assert calls == []
+
+    def test_rounded_values_alone_and_quadrature_eliminate_in_float(self, monkeypatch, ctx50):
+        calls = self.eliminations(monkeypatch)
+        w = preset_weight("jacobi-add", p=3, q=2)
+        rounded = MomentSequence.from_values(moments(w, 13, context=ctx50).values)
+        quadrature = moments(w, 13, context=ctx50, method="quadrature")
+        for m in (rounded, quadrature):
+            for solve in self.solves(m, ctx50):
+                calls.clear()
+                solve()
+                assert "solve_full_pivot" in calls
+            calls.clear()
+            solve_polynomial(m, 4, context=ctx50)
+            assert calls == ["det_lu_flag", "solve_full_pivot"]

@@ -262,3 +262,26 @@ class TestMomentSequence:
     def test_manual_construction_for_degenerate_cases(self):
         m = MomentSequence.from_values([1, Fraction(1, 2), Fraction(1, 4)])
         assert m[2].as_fraction() == Fraction(1, 4)
+
+    def test_rounded_closed_forms_keep_their_exact_values(self, ctx50):
+        for w in (preset_weight("jacobi-add", p=3, q=2), contour_weight(0)):
+            assert moments(w, 9, context=ctx50).exact == moments(w, 9, mode="exact").values
+
+    def test_no_exact_values_elsewhere(self, ctx50):
+        w = preset_weight("laguerre", gamma=1)
+        expression = normalize(parse_weight("exp(-x)", Interval(0, "inf")), ctx50)
+        rounded = moments(w, 5, context=ctx50)
+        for seq in (moments(w, 5, mode="exact"),
+                    moments(w, 5, context=ctx50, method="quadrature"),
+                    moments(expression, 3, context=ctx50),
+                    MomentSequence.from_values(rounded.values),
+                    MomentSequence.from_values([1, Fraction(1, 2)])):
+            assert seq.exact is None
+
+    def test_exact_values_take_no_part_in_eq_hash_or_repr(self, ctx50):
+        rounded = moments(preset_weight("laguerre", gamma=1), 5, context=ctx50)
+        bare = MomentSequence(rounded.values, rounded.source, rounded.weight_id)
+        assert rounded.exact is not None and bare.exact is None
+        assert rounded == bare
+        assert hash(rounded) == hash(bare)
+        assert repr(rounded) == repr(bare)

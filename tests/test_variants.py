@@ -16,6 +16,7 @@ from orthoieq import (
     Multiplicative,
     MultiplicativeCandidate,
     Polynomial,
+    PrecisionContext,
     Scalar,
     check_arbitrary_f,
     check_functional_orthogonality,
@@ -43,7 +44,7 @@ from orthoieq.linalg import solve_full_pivot
 from orthoieq.numeric import tolerance
 from orthoieq.polynomials import power_table
 
-from conftest import from_sympy
+from conftest import from_sympy, rounded_outcome
 
 TOL35 = Fraction(1, 10**35)
 TOL30 = Fraction(1, 10**30)
@@ -512,7 +513,8 @@ class TestShiftMatrixAgainstNestedLoop:
         w = preset_weight(name, **params)
         e0 = [Scalar.exact(1)] + [Scalar.exact(0)] * 8
         for mode in ("exact", "float"):
-            m = moments(w, 17, mode=mode, context=ctx50)
+            # from_values drops the exact values, so the float solve eliminates in floating point
+            m = MomentSequence.from_values(moments(w, 17, mode=mode, context=ctx50).values)
             for n in range(9):
                 want = solve_full_pivot(nested_shift_matrix(m, n, a, b), e0[:n + 1])
                 try:
@@ -524,6 +526,33 @@ class TestShiftMatrixAgainstNestedLoop:
                     assert got == tuple(want)
                 else:
                     assert [c.value for c in got] == [c.value for c in want]
+
+
+@pytest.mark.parametrize("precision", [30, 50])
+@pytest.mark.parametrize("name,params", [("laguerre", {"gamma": 1}),
+                                         ("jacobi-add", {"p": 3, "q": 2})])
+class TestFloatShiftAndFunctionalRoundTheExactSolve:
+    """Shift and polynomial-f functional solves on rounded closed-form moments
+    are the exact solves rounded once, bit for bit, errors included."""
+
+    def test_shift(self, name, params, precision):
+        ctx = PrecisionContext(precision)
+        w = preset_weight(name, **params)
+        exact, rounded = moments(w, 17, mode="exact"), moments(w, 17, context=ctx)
+        for a, b in TestShiftMatrixAgainstNestedLoop.SHIFTS:
+            for n in range(9):
+                want = rounded_outcome(lambda: solve_linear_shift(exact, n, a, b), ctx)
+                got = rounded_outcome(lambda: solve_linear_shift(rounded, n, a, b, context=ctx))
+                assert got == want
+
+    def test_functional(self, name, params, precision):
+        ctx = PrecisionContext(precision)
+        w = preset_weight(name, **params)
+        for f in ("2*x+1", "x^2"):
+            for n in range(7):
+                want = rounded_outcome(lambda: solve_functional(w, f, n, mode="exact"), ctx)
+                got = rounded_outcome(lambda: solve_functional(w, f, n, context=ctx))
+                assert got == want
 
 
 class TestShiftRecurrenceMatchesDenseSolve:
