@@ -1,5 +1,19 @@
 """Closed-form classical families for cross-validation, plus a proportionality matcher.
 
+Every family comes from one three-term recurrence,
+
+    p_(k+1) = (A_k x + B_k) p_k - C_k p_(k-1),   p_0 = 1, p_(-1) = 0,
+
+with these coefficients:
+
+    family                A_k            B_k                    C_k
+    laguerre(n, gamma)    -1/(k+1)       (2k+gamma+1)/(k+1)     (k+gamma)/(k+1)
+    legendre(n)           (2k+1)/(k+1)   0                      k/(k+1)
+    chebyshev_U_star(n)   4              -2                     1
+    jacobi_G(n, p, q)     1              -(1 + a_k)/2           b_k/4
+
+where a_k and b_k are the monic Jacobi recurrence coefficients on [-1, 1]
+for (alpha, beta) = (p - q, q - 1).
 All recurrences run in exact rational arithmetic (rational parameters),
 independently of the moment/Hankel machinery they validate.
 """
@@ -20,61 +34,39 @@ def _frac(value, name):
         raise ConfigurationError(f"{name} must be rational, got {value!r}") from None
 
 
-def _poly(coeffs):
-    return [Fraction(c) for c in coeffs]
-
-
-def _add(a, b):
-    size = max(len(a), len(b))
-    a = a + [Fraction(0)] * (size - len(a))
-    b = b + [Fraction(0)] * (size - len(b))
-    return [x + y for x, y in zip(a, b)]
-
-
-def _scale(a, c):
-    return [x * c for x in a]
-
-
-def _shift_mul_x(a):
-    return [Fraction(0)] + a
-
-
-def _to_polynomial(coeffs) -> Polynomial:
-    return Polynomial([Scalar.exact(c) for c in coeffs])
+def _three_term(n: int, step) -> Polynomial:
+    """p_n of p_(k+1) = (A_k x + B_k) p_k - C_k p_(k-1), p_0 = 1, p_(-1) = 0,
+    where (A_k, B_k, C_k) = step(k) are rationals."""
+    if n < 0:
+        raise ConfigurationError("degree must be nonnegative")
+    prev, cur = [], [Fraction(1)]
+    for k in range(n):
+        a, b, c = step(k)
+        nxt = [b * v for v in cur] + [0]
+        for i, v in enumerate(cur):
+            nxt[i + 1] += a * v
+        for i, v in enumerate(prev):
+            nxt[i] -= c * v
+        prev, cur = cur, nxt
+    return Polynomial(cur)
 
 
 def laguerre(n: int, gamma) -> Polynomial:
-    """Generalized Laguerre L_n, normalized so L_n(0) = binomial(n+gamma, n).
-
-    Recurrence: L_0 = 1, L_1 = 1 + gamma - x,
-    (k+1) L_(k+1) = (2k + gamma + 1 - x) L_k - (k + gamma) L_(k-1).
-    """
+    """Generalized Laguerre L_n, normalized so L_n(0) = binomial(n+gamma, n):
+    (k+1) L_(k+1) = (2k + gamma + 1 - x) L_k - (k + gamma) L_(k-1)."""
     gamma = _frac(gamma, "gamma")
     if gamma < 1:
         raise ConfigurationError(f"laguerre requires gamma >= 1, got {gamma}")
-    if n < 0:
-        raise ConfigurationError("degree must be nonnegative")
-    prev = _poly([1])
-    if n == 0:
-        return _to_polynomial(prev)
-    cur = _poly([1 + gamma, -1])
-    for k in range(1, n):
-        nxt = _add(
-            _scale(cur, Fraction(2 * k) + gamma + 1),
-            _scale(_shift_mul_x(cur), Fraction(-1)),
-        )
-        nxt = _add(nxt, _scale(prev, -(Fraction(k) + gamma)))
-        nxt = _scale(nxt, Fraction(1, k + 1))
-        prev, cur = cur, nxt
-    return _to_polynomial(cur)
+    return _three_term(n, lambda k: (Fraction(-1, k + 1), (2 * k + gamma + 1) / (k + 1),
+                                     (k + gamma) / (k + 1)))
 
 
 def jacobi_G(n: int, p, q) -> Polynomial:
     """Monic Jacobi G_n(p, q, x) on [0, 1], orthogonal for x^(q-1) (1-x)^(p-q).
 
-    Built from the monic recurrence on [-1, 1] with parameters
-    (alpha, beta) = (p - q, q - 1), then mapped through u = 2x - 1 and
-    rescaled by 2^-n to stay monic in x.
+    The monic recurrence on [-1, 1] with parameters (alpha, beta) =
+    (p - q, q - 1), Q_(k+1) = (u - a_k) Q_k - b_k Q_(k-1), taken to
+    x = (u + 1)/2 through G_k = Q_k / 2^k, which stays monic in x.
     """
     p = _frac(p, "p")
     q = _frac(q, "q")
@@ -82,68 +74,31 @@ def jacobi_G(n: int, p, q) -> Polynomial:
         raise ConfigurationError(
             f"jacobi_G requires q > 0, p - q > -1 and p > 0, got p={p}, q={q}"
         )
-    if n < 0:
-        raise ConfigurationError("degree must be nonnegative")
     al = p - q
     be = q - 1
-    # u = 2x - 1 as coefficients in x
-    u = _poly([-1, 2])
+    s = al + be
 
-    def mul_u(c):
-        return _add(_scale(_shift_mul_x(c), Fraction(2)), _scale(c, Fraction(-1)))
-
-    prev = _poly([1])
-    if n == 0:
-        return _to_polynomial(prev)
-    a0 = (be - al) / (al + be + 2)
-    cur = _add(u, [-a0])
-    for k in range(1, n):
-        s = al + be
+    def step(k):
+        if k == 0:  # the general a_k divides by zero when alpha + beta = 0
+            return 1, -(1 + (be - al) / (s + 2)) / 2, 0
         a_k = (be * be - al * al) / ((2 * k + s) * (2 * k + s + 2))
         b_k = Fraction(4 * k) * (k + al) * (k + be) * (k + s) / (
             (2 * k + s) ** 2 * (2 * k + s + 1) * (2 * k + s - 1)
         )
-        nxt = _add(mul_u(cur), _scale(cur, -a_k))
-        nxt = _add(nxt, _scale(prev, -b_k))
-        prev, cur = cur, nxt
-    # cur is monic in u of degree n; leading x^n coefficient is 2^n
-    return _to_polynomial(_scale(cur, Fraction(1, 2**n)))
+        return 1, -(1 + a_k) / 2, b_k / 4
+
+    return _three_term(n, step)
 
 
 def chebyshev_U_star(n: int) -> Polynomial:
-    """Shifted Chebyshev of the second kind, U*_n(x) = U_n(2x - 1)."""
-    if n < 0:
-        raise ConfigurationError("degree must be nonnegative")
-
-    def mul_t(c):  # multiply by t = 2x - 1
-        return _add(_scale(_shift_mul_x(c), Fraction(2)), _scale(c, Fraction(-1)))
-
-    prev = _poly([1])
-    if n == 0:
-        return _to_polynomial(prev)
-    cur = _scale(mul_t(prev), Fraction(2))  # U_1(t) = 2t
-    for _ in range(1, n):
-        nxt = _add(_scale(mul_t(cur), Fraction(2)), _scale(prev, Fraction(-1)))
-        prev, cur = cur, nxt
-    return _to_polynomial(cur)
+    """Shifted Chebyshev of the second kind, U*_n(x) = U_n(2x - 1):
+    U*_(k+1) = (4x - 2) U*_k - U*_(k-1)."""
+    return _three_term(n, lambda k: (4, -2, 1))
 
 
 def legendre(n: int) -> Polynomial:
     """Legendre P_n via the Bonnet recurrence (k+1) P_(k+1) = (2k+1) x P_k - k P_(k-1)."""
-    if n < 0:
-        raise ConfigurationError("degree must be nonnegative")
-    prev = _poly([1])
-    if n == 0:
-        return _to_polynomial(prev)
-    cur = _poly([0, 1])
-    for k in range(1, n):
-        nxt = _add(
-            _scale(_shift_mul_x(cur), Fraction(2 * k + 1)),
-            _scale(prev, Fraction(-k)),
-        )
-        nxt = _scale(nxt, Fraction(1, k + 1))
-        prev, cur = cur, nxt
-    return _to_polynomial(cur)
+    return _three_term(n, lambda k: (Fraction(2 * k + 1, k + 1), 0, Fraction(k, k + 1)))
 
 
 def match_up_to_scale(P: Polynomial, Q: Polynomial, *,

@@ -22,6 +22,7 @@ from fractions import Fraction
 
 from .errors import UnknownIdentifierError, WeightSyntaxError
 from .numeric import PrecisionContext
+from .polynomials import _convolve
 
 FUNCTIONS = ("exp", "log", "sqrt", "sin", "cos", "gamma")
 
@@ -310,7 +311,10 @@ def compile_float(node, mp):
 
 
 def as_polynomial(node):
-    """Coefficients (ascending, Fraction) if the tree is a polynomial in x over Q, else None."""
+    """Coefficients (ascending, Fraction) if the tree is a polynomial in x over Q, else None.
+
+    Products and nonnegative integer powers convolve through polynomials._convolve.
+    """
     if isinstance(node, Num):
         return [node.value]
     if isinstance(node, Var):
@@ -318,54 +322,34 @@ def as_polynomial(node):
     if isinstance(node, Neg):
         inner = as_polynomial(node.operand)
         return None if inner is None else [-c for c in inner]
-    if isinstance(node, BinOp):
-        if node.op in "+-":
-            a = as_polynomial(node.left)
-            b = as_polynomial(node.right)
-            if a is None or b is None:
-                return None
-            size = max(len(a), len(b))
-            a = a + [Fraction(0)] * (size - len(a))
-            b = b + [Fraction(0)] * (size - len(b))
-            sign = 1 if node.op == "+" else -1
-            return _trim([pa + sign * pb for pa, pb in zip(a, b)])
-        if node.op == "*":
-            a = as_polynomial(node.left)
-            b = as_polynomial(node.right)
-            if a is None or b is None:
-                return None
-            out = [Fraction(0)] * (len(a) + len(b) - 1)
-            for i, ca in enumerate(a):
-                for j, cb in enumerate(b):
-                    out[i + j] += ca * cb
-            return _trim(out)
-        if node.op == "/":
-            a = as_polynomial(node.left)
-            b = as_polynomial(node.right)
-            if a is None or b is None or len(b) != 1 or b[0] == 0:
-                return None
-            return [c / b[0] for c in a]
-        if node.op == "^":
-            if not (isinstance(node.right, Num) and node.right.value.denominator == 1):
-                return None
-            e = int(node.right.value)
-            if e < 0:
-                base = as_polynomial(node.left)
-                if base is not None and len(base) == 1 and base[0] != 0:
-                    return [Fraction(1) / base[0] ** (-e)]
-                return None
-            base = as_polynomial(node.left)
-            if base is None:
-                return None
-            out = [Fraction(1)]
-            for _ in range(e):
-                nxt = [Fraction(0)] * (len(out) + len(base) - 1)
-                for i, ca in enumerate(out):
-                    for j, cb in enumerate(base):
-                        nxt[i + j] += ca * cb
-                out = nxt
-            return _trim(out)
-    return None
+    if not isinstance(node, BinOp):
+        return None
+    if node.op == "^":
+        if not (isinstance(node.right, Num) and node.right.value.denominator == 1):
+            return None
+        base = as_polynomial(node.left)
+        e = int(node.right.value)
+        if base is None:
+            return None
+        if e < 0:
+            return [Fraction(1) / base[0] ** (-e)] if len(base) == 1 and base[0] != 0 else None
+        out = [Fraction(1)]
+        for _ in range(e):
+            out = _convolve(out, base)
+        return _trim(out)
+    a = as_polynomial(node.left)
+    b = as_polynomial(node.right)
+    if a is None or b is None:
+        return None
+    if node.op == "*":
+        return _trim(_convolve(a, b))
+    if node.op == "/":
+        return [c / b[0] for c in a] if len(b) == 1 and b[0] != 0 else None
+    size = max(len(a), len(b))
+    a = a + [Fraction(0)] * (size - len(a))
+    b = b + [Fraction(0)] * (size - len(b))
+    sign = 1 if node.op == "+" else -1
+    return _trim([pa + sign * pb for pa, pb in zip(a, b)])
 
 
 def _trim(coeffs):

@@ -2,7 +2,10 @@
 
 Products are formed by coefficient convolution and then contracted
 against moments; quadrature is never involved here, so orthogonality
-checks see moment error only.
+checks see moment error only. The raw loops on coefficient lists have
+one copy each: _convolve forms every product (here and in
+expressions.as_polynomial) and _horner every evaluation (Polynomial.eval
+and the checks in variants).
 
 Each contraction unwraps its Scalars once by the one rule the package
 shares, numeric.unwrap (exact values stay Fraction or IPiFraction; exact
@@ -61,10 +64,7 @@ class Polynomial:
         if not isinstance(x, Scalar):
             x = Scalar.exact(x)
         (coeffs, (x,)), precision = unwrap(self.coeffs, (x,))
-        acc = coeffs[-1]
-        for c in reversed(coeffs[:-1]):
-            acc = acc * x + c
-        return Scalar(acc, precision)
+        return Scalar(_horner(coeffs, x), precision)
 
     def __mul__(self, other):
         if isinstance(other, Polynomial):
@@ -112,6 +112,14 @@ def _convolve(a, b):
         for j, y in enumerate(b):
             out[i + j] = out[i + j] + x * y
     return out
+
+
+def _horner(coeffs, x):
+    """The raw coefficient list (ascending) evaluated at the raw point x."""
+    acc = coeffs[-1]
+    for c in reversed(coeffs[:-1]):
+        acc = acc * x + c
+    return acc
 
 
 def _dot(a, b):

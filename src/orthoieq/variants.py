@@ -42,6 +42,7 @@ from .moments import MomentSequence, generalized_moments, moments
 from .numeric import PrecisionContext, Scalar, scalar_eq, tolerance, unwrap
 from .polynomials import (
     Polynomial,
+    _horner,
     argument_moments,
     binomial_image,
     inner_moment,
@@ -229,13 +230,7 @@ def _differences(P, rhs, samples):
         values = [P.eval(x) for x in samples]
         return [v - rhs.eval(x) for v, x in zip(values, samples)], values
     diff = [u - v for u, v in zip(a, b, strict=True)]  # an image has deg P + 1 coefficients
-    out = []
-    for x in xs:
-        acc = diff[-1]
-        for c in reversed(diff[:-1]):
-            acc = acc * x + c
-        out.append(Scalar(acc))
-    return out, None
+    return [Scalar(_horner(diff, x)) for x in xs], None
 
 
 def _plain_moments(w, count, mode, context, moment_seq):
@@ -306,14 +301,8 @@ def _f_of_p_moments(P, w, f, kmax, context):
     mp = working_context(context.precision)
     f_at = ex.compile_float(f, mp)
     coeffs = [mp.convert((c.to_float(context) if c.is_exact else c).value) for c in P.coeffs]
-
-    def f_of_p(x):
-        acc = coeffs[-1]
-        for c in reversed(coeffs[:-1]):
-            acc = acc * x + c
-        return f_at(acc)
-
-    entries = w.integrals(context, [(1, j) for j in range(kmax + 1)], shared=f_of_p)
+    entries = w.integrals(context, [(1, j) for j in range(kmax + 1)],
+                          shared=lambda x: f_at(_horner(coeffs, x)))
     return [value for value, _err in entries]
 
 
@@ -481,15 +470,7 @@ def check_functional_orthogonality(Pn: Polynomial, Pm: Polynomial, w: Weight, f,
         f = ex.parse_expression(f)
     context = context or PrecisionContext()
     gen = generalized_moments(w, f, Pm.degree + 1, Pn.degree, context=context)
-    acc = None
-    for k, b in enumerate(Pm.coeffs):
-        inner = None
-        for j, a in enumerate(Pn.coeffs):
-            term = a * gen[k + 1][j]
-            inner = term if inner is None else inner + term
-        term = b * inner
-        acc = term if acc is None else acc + term
-    return acc
+    return inner_moment(Pm, 0, [inner_moment(Pn, 0, row) for row in gen[1:]])
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from orthoieq import (
     legendre,
     match_up_to_scale,
     moments,
+    orthogonality,
     preset_weight,
     solve_multiplicative,
     solve_polynomial,
@@ -137,7 +138,28 @@ class TestMatchUpToScale:
         assert err.value.index == 1
 
 
+def _preset_moments(name, **params):
+    return lambda count: moments(preset_weight(name, **params), count, mode="exact")
+
+
 class TestFamilyInvariants:
+    @pytest.mark.parametrize("family,moments_of", [
+        (lambda n: laguerre(n, 1), _preset_moments("laguerre", gamma=1)),
+        (lambda n: laguerre(n, Fraction(9, 2)), _preset_moments("laguerre", gamma=Fraction(9, 2))),
+        (chebyshev_U_star, _preset_moments("chebyshev-u2-add")),
+        (lambda n: jacobi_G(n, 3, 2), _preset_moments("jacobi-add", p=3, q=2)),
+        (lambda n: jacobi_G(n, Fraction(11, 2), Fraction(9, 2)),
+         _preset_moments("jacobi-add", p=Fraction(11, 2), q=Fraction(9, 2))),
+        (legendre, lambda count: contour_moments(0, count, mode="exact")),
+    ], ids=["laguerre-1", "laguerre-9/2", "u-star", "jacobi-3-2", "jacobi-11/2-9/2", "legendre"])
+    def test_orthogonal_under_x_w_to_20(self, family, moments_of):
+        # <x F_n F_m> over the preset's closed-form moments: 0 below the diagonal
+        m = moments_of(42)
+        polys = [family(n) for n in range(21)]
+        for n, Fn in enumerate(polys):
+            for k, Fm in enumerate(polys[:n + 1]):
+                assert orthogonality(Fn, Fm, m).is_zero() == (k < n), (n, k)
+
     @pytest.mark.parametrize("gamma", [1, 2, Fraction(5, 2)])
     def test_solver_matches_laguerre_to_8(self, gamma):
         w = preset_weight("laguerre", gamma=gamma)

@@ -129,12 +129,22 @@ class TestPolynomialExtraction:
         assert as_polynomial(parse_expression("(1+x)^3")) == [1, 3, 3, 1]
         assert as_polynomial(parse_expression("3")) == [3]
         assert as_polynomial(parse_expression("(6*x-2)/2")) == [-1, 3]
+        assert as_polynomial(parse_expression("(x+1)^2-x^2-2*x")) == [1]
+        assert as_polynomial(parse_expression("x-x")) == [0]
+        assert as_polynomial(parse_expression("(2*x)^0")) == [1]
+        assert as_polynomial(parse_expression("(x^2+1)^3")) == [1, 0, 3, 0, 3, 0, 1]
+        tree = parse_expression("(x-x+2)^(-3)")
+        assert isinstance(tree, BinOp)  # the constant base is not folded at parse time
+        assert as_polynomial(tree) == [Fraction(1, 8)]
+        assert as_polynomial(parse_expression("x/(x-x+2)")) == [0, Fraction(1, 2)]
 
     def test_non_polynomials(self):
         assert as_polynomial(parse_expression("exp(x)")) is None
         assert as_polynomial(parse_expression("1/(2*x)")) is None
         assert as_polynomial(parse_expression("x^(1/2)")) is None
         assert as_polynomial(parse_expression("pi*x")) is None
+        assert as_polynomial(parse_expression("(x-x)^(-1)")) is None
+        assert as_polynomial(parse_expression("x/(x+1)")) is None
 
     def test_identity(self):
         assert is_identity(parse_expression("x"))
