@@ -22,11 +22,11 @@ nu_j = a m_j + b m_(j+1) (the moments of g(x) w(x)); the Chebyshev
 algorithm builds pi_n in O(n^2) exact operations (Gautschi, Orthogonal
 Polynomials: Computation and Approximation, 2004, section 2.1.7). Any
 other g, and a breakdown, take the dense solve of the table against e_0.
-Float moments rounded from a closed form carry their exact values
-(MomentSequence.exact): an exact g solves on those and rounds each
-coefficient once. Other float moments (quadrature tables, hand-built
-sequences) take the dense float solve, since float power-moment
-recurrences are ill-conditioned.
+Every routine here taking a table runs under moments.on_exact_values:
+float moments rounded from a closed form are computed on exactly, and each
+result is rounded once. Only float moments without exact values (quadrature
+tables, hand-built sequences) meet the float validity rules and the dense
+float solve, since float power-moment recurrences are ill-conditioned.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from .errors import (
     SingularSystemError,
 )
 from .linalg import det_lu_flag, determinant, solve_full_pivot
+from .moments import on_exact_values
 from .numeric import PrecisionContext, Scalar, tolerance
 from .polynomials import Polynomial, power_table
 
@@ -59,22 +60,21 @@ def _hankel(m, size: int, shift: int = 0):
     return [[m[k + j + shift] for j in range(size)] for k in range(size)]
 
 
+@on_exact_values
 def hankel_condition(m, n: int, *, context: PrecisionContext | None = None):
     """det B_n and a validity flag.
 
-    Both modes run the same partially pivoted LU elimination. Exact mode:
-    valid iff the determinant is not exactly zero, i.e. no pivot column of
-    the elimination is entirely zero. Float mode: valid iff no elimination
-    pivot collapses below 10^(15-p) times the magnitude of its remaining
-    submatrix, i.e. the determinant is distinguishable from rounding noise
-    at precision p. (A threshold of 10^(15-p) times the product of row
-    max-norms would be the Hadamard worst case; it misclassifies every
-    fast-growing positive-measure Hankel matrix as singular, so the
-    per-pivot form is used.) The float flag describes this floating-point
-    elimination of the rounded moments, not the exact table they may have
-    been rounded from: a regular closed-form B_n can read invalid at low
-    p, and solve_polynomial, which solves such moments exactly, still
-    returns its solution.
+    Both modes run the same partially pivoted LU elimination. Exact
+    moments, and float moments rounded from a closed form (whose det B_n
+    is the exact one rounded once): valid iff the determinant is not
+    exactly zero, i.e. no pivot column of the elimination is entirely
+    zero. Other float moments: valid iff no elimination pivot collapses
+    below 10^(15-p) times the magnitude of its remaining submatrix, i.e.
+    the determinant is distinguishable from rounding noise at precision
+    p. (A threshold of 10^(15-p) times the product of row max-norms would
+    be the Hadamard worst case; it misclassifies every fast-growing
+    positive-measure Hankel matrix as singular, so the per-pivot form is
+    used.)
     """
     rows = _hankel(m, n + 1)
     corner = rows[0][0]
@@ -86,17 +86,17 @@ def hankel_condition(m, n: int, *, context: PrecisionContext | None = None):
     return det, not collapsed
 
 
+@on_exact_values
 def solve_polynomial(m, n: int, *, context: PrecisionContext | None = None) -> Polynomial:
     """Coefficients of the unique degree-n solution of B_n a = e_0: solve_kernel
     for g = y. An exact B_n is singular iff its elimination runs out of
     pivots, so hankel_condition's pivot-collapse check runs first only when
     the solve eliminates in floating point, i.e. on float moments without
-    exact values; its validity flag describes that floating-point
-    elimination. Closed-form float moments are solved exactly and rounded
+    exact values. Closed-form float moments are solved exactly and rounded
     once, with the exact errors.
     """
     _require(m, 2 * n + 1, f"B_{n}")
-    exact = m[0].is_exact or getattr(m, "exact", None) is not None
+    exact = m[0].is_exact
     if not exact:
         det, valid = hankel_condition(m, n, context=context)
         if not valid:
@@ -108,23 +108,17 @@ def solve_polynomial(m, n: int, *, context: PrecisionContext | None = None) -> P
         raise SingularHankelError(message) from exc
 
 
+@on_exact_values
 def solve_kernel(m, n: int, g, degenerate_message: str) -> Polynomial:
     """The degree-n solution of <g^k P> = delta_(k,0), k = 0..n, for g the
     ascending coefficients (raw or Scalars) of a nonconstant polynomial: the
     recurrence on nu_j = a m_j + b m_(j+1) for exact moments and an exact
     linear g (nu = m[1:] for g = y), else, and on a breakdown, the dense
-    solve of B_n (g = y) or of power_table. Float moments that carry exact
-    values and an exact g solve on the exact values, and each coefficient
-    is rounded once at the moments' precision. Raises SingularSystemError
+    solve of B_n (g = y) or of power_table. Raises SingularSystemError
     when the table runs out of pivots.
     """
     g = Polynomial(g).coeffs
     raw_g = [c.value for c in g] if all(c.is_exact for c in g) else None
-    exact_m = getattr(m, "exact", None)
-    if raw_g is not None and exact_m is not None:
-        context = PrecisionContext(m[0].precision)
-        P = solve_kernel(exact_m, n, g, degenerate_message)
-        return Polynomial([c.to_float(context) for c in P.coeffs])
     additive = raw_g == [0, 1]
     if raw_g is not None and len(raw_g) == 2:
         values = [m[j] for j in range(2 * n + 1)]
@@ -183,6 +177,7 @@ def _singular_message(det, n):
     )
 
 
+@on_exact_values
 def polynomial_via_determinants(m, n: int, *, context: PrecisionContext | None = None) -> Polynomial:
     """Same polynomial as solve_polynomial, by cofactor expansion of det A_n / det B_n.
 
@@ -235,8 +230,10 @@ def vanishes(value: Scalar, coeffs) -> bool:
     return value.magnitude() <= tolerance(ctx, 15) * max(ctx.mp.mpf(1), scale)
 
 
+@on_exact_values
 def normalization(m, n: int, *, context: PrecisionContext | None = None) -> Scalar:
-    """G_n = (det C_n)(det C_(n+1)) / (det B_n)^2, which equals <x P_n P_n>."""
+    """G_n = (det C_n)(det C_(n+1)) / (det B_n)^2, which equals <x P_n P_n>;
+    refused when hankel_condition finds B_n singular (exactly, on closed forms)."""
     _require(m, 2 * n + 2, f"normalization(n={n})")
     det_b, valid = hankel_condition(m, n, context=context)
     if not valid:

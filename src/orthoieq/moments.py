@@ -3,15 +3,16 @@
 Every table comes from one of two places. Presets and contours have
 closed forms on their bodies (exact rationals for presets, rationals over
 i pi for contours); float mode rounds those exact values once to p
-digits and keeps them on the sequence (MomentSequence.exact), so a solve
-can run on them and round its answer once. Expression weights, and tables
-no polynomial contraction reaches, are integrated numerically by
-Weight.integrals, every entry on one node set with its own error estimate.
+digits and keeps them on the sequence (MomentSequence.exact), on which
+every solve-layer routine computes (on_exact_values). Expression weights,
+and tables no polynomial contraction reaches, are integrated numerically
+by Weight.integrals, every entry on one node set with its own error estimate.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 from . import expressions as ex
 from .errors import (
@@ -22,7 +23,7 @@ from .errors import (
     QuadratureError,
 )
 from .numeric import PrecisionContext, Scalar, scalar_eq, tolerance
-from .polynomials import power_table
+from .polynomials import Polynomial, power_table
 from .quadrature import _EVAL_ERRORS, working_context
 from .weights import Weight, contour_weight
 
@@ -67,6 +68,34 @@ class MomentSequence:
     def from_values(values, source="analytic", weight_id="manual") -> "MomentSequence":
         vals = tuple(v if isinstance(v, Scalar) else Scalar.exact(v) for v in values)
         return MomentSequence(vals, source, weight_id)
+
+
+def on_exact_values(func):
+    """func(m, ...) on m.exact when m carries exact values, with each Scalar of
+    the result (in a Polynomial, tuple, list or dataclass too) rounded once
+    at m[0].precision and the exact run's errors; else func(m, ...)."""
+
+    @functools.wraps(func)
+    def run(m, *args, **kwargs):
+        exact = getattr(m, "exact", None)
+        if exact is None:
+            return func(m, *args, **kwargs)
+        return _round_once(func(exact, *args, **kwargs), PrecisionContext(m[0].precision))
+
+    return run
+
+
+def _round_once(value, context):
+    if isinstance(value, Scalar):
+        return value.to_float(context)
+    if isinstance(value, Polynomial):
+        return Polynomial([c.to_float(context) for c in value.coeffs])
+    if isinstance(value, (tuple, list)):
+        return type(value)(_round_once(v, context) for v in value)
+    if is_dataclass(value):
+        return replace(value, **{f.name: _round_once(getattr(value, f.name), context)
+                                 for f in fields(value)})
+    return value
 
 
 def moments(w: Weight, count: int, *, mode: str = "float",

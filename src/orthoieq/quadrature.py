@@ -45,7 +45,7 @@ from fractions import Fraction
 from mpmath.libmp import mpc_mul, mpc_mul_mpf, mpf_mul, mpf_sum
 
 from .errors import IntegrabilityError, QuadratureError
-from .numeric import Scalar, mp_context, tolerance
+from .numeric import Scalar, _fraction_mpf, mp_context, tolerance
 from . import expressions as ex
 
 _MAX_DEGREE = 8
@@ -368,7 +368,7 @@ def _split_pieces(interval, exponents, work):
                 _semi_infinite(work.mpf(0), work, negative=False)]
 
     if not interval.beta_finite:
-        a = _to_mpf(interval.alpha, work)
+        a = _fraction_mpf(work, interval.alpha)
         if exp_a < 0:
             mid = a + 1
             return (_finite_pieces(a, mid, exp_a, Fraction(0), work)
@@ -376,15 +376,15 @@ def _split_pieces(interval, exponents, work):
         return [_semi_infinite(a, work, negative=False)]
 
     if not interval.alpha_finite:
-        b = _to_mpf(interval.beta, work)
+        b = _fraction_mpf(work, interval.beta)
         if exp_b < 0:
             mid = b - 1
             return (_finite_pieces(mid, b, Fraction(0), exp_b, work)
                     + [_semi_infinite(mid, work, negative=True)])
         return [_semi_infinite(b, work, negative=True)]
 
-    a = _to_mpf(interval.alpha, work)
-    b = _to_mpf(interval.beta, work)
+    a = _fraction_mpf(work, interval.alpha)
+    b = _fraction_mpf(work, interval.beta)
     return _finite_pieces(a, b, exp_a, exp_b, work)
 
 
@@ -421,9 +421,3 @@ def _semi_infinite(anchor, work, *, negative):
         return x, 1 / one_minus**2
 
     return (work.mpf(0), work.mpf(1), point)
-
-
-def _to_mpf(value, work):
-    if isinstance(value, Fraction):
-        return work.mpf(value.numerator) / value.denominator
-    return work.convert(value)

@@ -38,7 +38,7 @@ from .errors import (
 )
 from .hankel import solve_e0, solve_kernel, solve_polynomial, vanishes
 from .linalg import solve_full_pivot
-from .moments import MomentSequence, generalized_moments, moments
+from .moments import MomentSequence, generalized_moments, moments, on_exact_values
 from .numeric import PrecisionContext, Scalar, scalar_eq, tolerance, unwrap
 from .polynomials import (
     Polynomial,
@@ -310,6 +310,7 @@ def _f_of_p_moments(P, w, f, kmax, context):
 # multiplicative solver
 
 
+@on_exact_values
 def solve_multiplicative(m, n: int, pattern, *, context: PrecisionContext | None = None) -> Polynomial:
     """Solve <x^k P> = 1 on the support pattern u {n}; other coefficients are 0.
 
@@ -319,8 +320,6 @@ def solve_multiplicative(m, n: int, pattern, *, context: PrecisionContext | None
     support = sorted(set(int(k) for k in pattern) | {n})
     if any(k < 0 or k > n for k in support):
         raise ConfigurationError(f"pattern {sorted(pattern)} out of range for degree {n}")
-    if max(support) != n:
-        raise ConfigurationError("the leading index n is always in the support")
     if len(m) < 2 * n + 1:
         raise InsufficientMomentsError(
             f"degree {n} needs m_0..m_{2 * n}, got {len(m)} moments"
@@ -329,7 +328,7 @@ def solve_multiplicative(m, n: int, pattern, *, context: PrecisionContext | None
     one = Scalar.exact(1)
     rhs = [one for _ in support]
     solved = solve_full_pivot(matrix, rhs)
-    coeffs = [Scalar.exact(0)] * (n + 1)
+    coeffs = [_zero_like(m[0])] * (n + 1)  # structural zeros in the table's mode
     for idx, k in enumerate(support):
         coeffs[k] = solved[idx]
     for k in support:
@@ -352,6 +351,7 @@ class MultiplicativeCandidate:
         return self.polynomial is not None
 
 
+@on_exact_values
 def enumerate_multiplicative(m, n: int, *, context: PrecisionContext | None = None):
     """Try all 2^n sparsity patterns S subset of {0..n-1}; failures are data.
 
@@ -374,7 +374,7 @@ def enumerate_multiplicative(m, n: int, *, context: PrecisionContext | None = No
 def _distinct_count(candidates, context):
     """The number of distinct successful polynomials. Exact polynomials are
     equal exactly when their coefficients are, so a set counts them; float
-    ones count as one when every coefficient agrees to 10^(10-p)."""
+    ones (tables without exact values) agree when every coefficient does to 10^(10-p)."""
     polys = [cand.polynomial for cand in candidates if cand.succeeded]
     if all(c.is_exact for P in polys for c in P.coeffs):
         return len(set(polys))
@@ -402,14 +402,12 @@ def parity_measure_moments(m, N: int):
         raise InsufficientMomentsError(
             f"mu_0..mu_{N} needs m_0..m_{N + 2}, got {len(m)} moments"
         )
-    out = []
-    zero = Scalar.exact(0)
-    for n in range(N + 1):
-        if n % 2:
-            out.append(zero if m[0].is_exact else zero.to_float(PrecisionContext(m[0].precision)))
-        else:
-            out.append(m[n] - m[n + 2])
-    return out
+    zero = _zero_like(m[0])
+    return [zero if n % 2 else m[n] - m[n + 2] for n in range(N + 1)]
+
+
+def _zero_like(value: Scalar) -> Scalar:
+    return Scalar.exact(0) if value.is_exact else PrecisionContext(value.precision).zero()
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,9 @@ import sympy as sp
 
 from orthoieq import (
     DegenerateDegreeError,
+    InconsistentPatternError,
+    MultiplicativeCandidate,
+    Polynomial,
     PrecisionContext,
     Scalar,
     SingularHankelError,
@@ -40,15 +43,28 @@ def make_weight(name, params):
 
 
 def rounded_outcome(solve, context=None):
-    """(precision, value) per coefficient of solve(), rounded at `context` when
-    given, or the solve error's type and text."""
+    """solve()'s result with each Scalar as (precision, value), rounded at
+    `context` when given (a polynomial is its coefficient list), or the
+    solve error's type and text."""
     try:
-        coeffs = solve().coeffs
-    except (DegenerateDegreeError, SingularHankelError, SingularSystemError) as exc:
+        result = solve()
+    except (DegenerateDegreeError, SingularHankelError, SingularSystemError,
+            InconsistentPatternError) as exc:
         return type(exc), str(exc)
-    if context is not None:
-        coeffs = [c.to_float(context) for c in coeffs]
-    return [(c.precision, c.value) for c in coeffs]
+    return _plain(result, context)
+
+
+def _plain(value, context):
+    if isinstance(value, Scalar):
+        value = value if context is None else value.to_float(context)
+        return value.precision, value.value
+    if isinstance(value, Polynomial):
+        return _plain(list(value.coeffs), context)
+    if isinstance(value, (tuple, list)):
+        return [_plain(v, context) for v in value]
+    if isinstance(value, MultiplicativeCandidate):
+        return value.pattern, _plain(value.polynomial, context), value.failure
+    return value
 
 
 _T = sp.Symbol("t")  # stands for i pi

@@ -260,16 +260,21 @@ class TestExitCodesAndReproducibility:
         assert code == 3
         assert "divergent" in err or "failure" in err
 
-    def test_float_pivot_collapse_at_low_precision_is_3(self, capsys):
-        # the degree-6 solve rounds the exact solution; the float det B_6 of
-        # the rounded moments collapses, so G_6 is refused
-        code, out, err = run_cli(
-            capsys, "poly", "--preset", "laguerre", "--gamma", "1", "-n", "6",
-            "--precision", "20",
-        )
-        assert code == 3
-        assert out == ""
-        assert err.rstrip().endswith("is zero (or below the validity threshold); G_6 undefined")
+    def test_closed_form_table_at_low_precision_is_exact_rounded_once(self, capsys):
+        # the float elimination of the rounded moments collapses at p=20, but
+        # the closed-form table is judged and normalized on its exact values
+        argv = ["poly", "--preset", "laguerre", "--gamma", "1", "-n", "6"]
+        code, out, err = run_cli(capsys, *argv, "--precision", "20")
+        assert code == 0, err
+        record = first_record(out)
+        assert record["normalization"] == {"re": "7.0", "im": "0.0"}
+        assert record["det_B"] == {"re": "619173642240000.0", "im": "0.0"}
+        assert record["valid"] is True
+        assert record["verification"]["pass"] is True
+        _, out, _ = run_cli(capsys, *argv, "--mode", "exact")
+        exact = first_record(out)
+        assert exact["normalization"] == {"num": "7", "den": "1"}
+        assert exact["det_B"] == {"num": "619173642240000", "den": "1"}
 
     def test_byte_identical_output(self, capsys):
         argv = [

@@ -6,6 +6,7 @@ import sympy as sp
 
 from orthoieq import (
     DegenerateDegreeError,
+    InconsistentPatternError,
     InsufficientMomentsError,
     MomentSequence,
     Polynomial,
@@ -14,16 +15,19 @@ from orthoieq import (
     SingularHankelError,
     SingularSystemError,
     contour_moments,
+    enumerate_multiplicative,
     hankel_condition,
     inner_moment,
     moments,
     normalization,
     orthogonality,
+    parity_pattern,
     polynomial_via_determinants,
     preset_weight,
     scalar_eq,
     solve_functional,
     solve_linear_shift,
+    solve_multiplicative,
     solve_polynomial,
 )
 from orthoieq import hankel
@@ -561,18 +565,121 @@ class TestFloatSolvesRoundTheExactSolve:
         ("jacobi-add", {"p": 3, "q": 2}, 5, 20), ("jacobi-add", {"p": 3, "q": 2}, 1, 16),
     ])
     def test_float_pivot_collapse_no_longer_refuses(self, name, params, n, precision):
-        """hankel_condition's flag describes the float elimination of the rounded
-        B_n, which collapses here; the exact table is regular and is solved."""
+        """The float elimination of the rounded values alone (from_values)
+        collapses here, so the float rule refuses them; the closed-form table
+        carries its exact values, reads valid with the exact det B_n rounded
+        once, and is solved."""
         ctx = PrecisionContext(precision)
         w = make_weight(name, params)
-        rounded = moments(w, 2 * n + 1, context=ctx)
-        _, valid = hankel_condition(rounded, n, context=ctx)
+        exact, rounded = moments(w, 2 * n + 1, mode="exact"), moments(w, 2 * n + 1, context=ctx)
+        alone = MomentSequence.from_values(rounded.values)
+        _, valid = hankel_condition(alone, n, context=ctx)
         assert not valid
         with pytest.raises(SingularHankelError, match=f"no degree-{n} solution"):
-            solve_polynomial(MomentSequence.from_values(rounded.values), n, context=ctx)
-        want = rounded_outcome(lambda: solve_polynomial(moments(w, 2 * n + 1, mode="exact"), n),
-                               ctx)
+            solve_polynomial(alone, n, context=ctx)
+        exact_det, exact_valid = hankel_condition(exact, n)
+        det, valid = hankel_condition(rounded, n, context=ctx)
+        assert exact_valid and valid
+        assert det == exact_det.to_float(ctx) and not det.is_exact
+        want = rounded_outcome(lambda: solve_polynomial(exact, n), ctx)
         assert rounded_outcome(lambda: solve_polynomial(rounded, n, context=ctx)) == want
+
+
+def _once(call):
+    """Run call() once; the returned thunk gives its result or raises its error."""
+    try:
+        result = call()
+    except (DegenerateDegreeError, SingularHankelError, SingularSystemError,
+            InconsistentPatternError) as exc:
+        error = exc
+
+        def replay():
+            raise error
+        return replay
+    return lambda: result
+
+
+class TestEveryRoutineRoundsTheExactResult:
+    """On float moments rounded from a closed form, every routine wrapped by
+    moments.on_exact_values returns the exact-mode result rounded once at the
+    moments' precision, or raises the exact-mode error class with its text."""
+
+    TABLES = [("laguerre", {"gamma": 1}), ("jacobi-add", {"p": 3, "q": 2}),
+              ("chebyshev-u2-add", {}), ("uniform-symmetric", {}), ("contour", {})]
+    PRECISIONS = (16, 20, 50)
+    SIZE = 25  # x^2 + x at degree 8 reads m_0..m_24
+
+    @staticmethod
+    def routines(n):
+        """Each routine as call(m, context), the exact run taking context None."""
+        calls = {
+            "solve_polynomial": lambda m, ctx: solve_polynomial(m, n, context=ctx),
+            "shift": lambda m, ctx: solve_kernel(m, n, [Fraction(3, 2), 2], "degenerate"),
+            "x^2+x": lambda m, ctx: solve_kernel(m, n, [0, 1, 1], "degenerate"),
+            "hankel_condition": lambda m, ctx: hankel_condition(m, n, context=ctx),
+            "normalization": lambda m, ctx: normalization(m, n, context=ctx),
+            "determinants": lambda m, ctx: polynomial_via_determinants(m, n, context=ctx),
+            "parity": lambda m, ctx: solve_multiplicative(m, n, parity_pattern(n), context=ctx),
+            "full": lambda m, ctx: solve_multiplicative(m, n, range(n), context=ctx),
+        }
+        if 1 <= n <= 4:
+            calls["enumerate"] = lambda m, ctx: enumerate_multiplicative(m, n, context=ctx)
+        return calls
+
+    def outcomes(self, exact, rounded, n):
+        """The exact outcome of every routine at degree n, after checking that
+        each rounded table gives it rounded once."""
+        found = {}
+        for name, call in self.routines(n).items():
+            exact_run = _once(lambda: call(exact, None))
+            for m in rounded:
+                ctx = PrecisionContext(m[0].precision)
+                want = rounded_outcome(exact_run, ctx)
+                assert rounded_outcome(lambda: call(m, ctx)) == want, (name, n, ctx)
+            found[name] = rounded_outcome(exact_run)
+        return found
+
+    def tables(self, name, params):
+        def table(**kwargs):
+            if name == "contour":
+                return contour_moments(0, self.SIZE, **kwargs)
+            return moments(make_weight(name, params), self.SIZE, **kwargs)
+        return table(mode="exact"), [table(context=PrecisionContext(p)) for p in self.PRECISIONS]
+
+    @pytest.mark.parametrize("name,params", TABLES)
+    def test_every_routine_to_degree_8(self, name, params):
+        exact, rounded = self.tables(name, params)
+        for n in range(9):
+            self.outcomes(exact, rounded, n)
+
+    def test_uniform_symmetric_odd_degrees_are_degenerate(self):
+        exact, rounded = self.tables("uniform-symmetric", {})
+        for n in (1, 3, 5, 7):
+            found = self.outcomes(exact, rounded, n)
+            for name in ("solve_polynomial", "determinants"):
+                assert found[name] == (DegenerateDegreeError, f"solved leading coefficient "
+                                       f"a_{n},{n} vanished; no degree-{n} solution")
+
+    def test_point_mass_is_singular(self):
+        point_mass = tuple(Scalar.exact(1) for _ in range(self.SIZE))
+        rounded = [MomentSequence(tuple(v.to_float(PrecisionContext(p)) for v in point_mass),
+                                  "analytic", "point-mass", exact=point_mass)
+                   for p in self.PRECISIONS]
+        for n in range(1, 5):
+            found = self.outcomes(point_mass, rounded, n)
+            assert found["hankel_condition"] == [(None, 0), False]
+            for name in ("solve_polynomial", "normalization", "determinants"):
+                assert found[name][0] is SingularHankelError
+            assert found["full"][0] is SingularSystemError
+
+    def test_inconsistent_pattern_keeps_the_exact_error(self):
+        exact, rounded = self.tables("laguerre", {"gamma": 1})
+        for m in rounded:
+            ctx = PrecisionContext(m[0].precision)
+            with pytest.raises(InconsistentPatternError) as err:
+                solve_multiplicative(m, 1, [0], context=ctx)
+            assert str(err.value) == "pattern [0] assumed a_1,1 != 0 but it solved to zero"
+            assert err.value.index == 1
 
 
 class TestDenseFloatRoute:
