@@ -20,8 +20,10 @@ for g = y. For exact moments and an exact linear g they say that
 P_n = pi_n / <pi_n>_w, pi_n being the monic orthogonal polynomial of
 nu_j = a m_j + b m_(j+1) (the moments of g(x) w(x)); the Chebyshev
 algorithm builds pi_n in O(n^2) exact operations (Gautschi, Orthogonal
-Polynomials: Computation and Approximation, 2004, section 2.1.7). Any
-other g, and a breakdown, take the dense solve of the table against e_0.
+Polynomials: Computation and Approximation, 2004, section 2.1.7), on
+integers for rational values: sigma_k and pi_k share one scale c_k, whose
+content each step removes (IPiFraction values keep c_k = 1). Any other g,
+and a breakdown, take the dense solve of the table against e_0.
 Every routine here taking a table runs under moments.on_exact_values:
 float moments rounded from a closed form are computed on exactly, and each
 result is rounded once. Only float moments without exact values (quadrature
@@ -32,6 +34,7 @@ float solve, since float power-moment recurrences are ill-conditioned.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from .errors import (
     DegenerateDegreeError,
@@ -41,8 +44,8 @@ from .errors import (
 )
 from .linalg import det_lu_flag, determinant, solve_full_pivot
 from .moments import on_exact_values
-from .numeric import PrecisionContext, Scalar, tolerance
-from .polynomials import Polynomial, power_table
+from .numeric import PrecisionContext, Scalar, integer_rows, tolerance
+from .polynomials import Polynomial, _dot, power_table
 
 
 def _require(m, length, what):
@@ -141,33 +144,40 @@ def recurrence_solve(m, nu, n: int) -> Polynomial | None:
     sigma_(k,l) = L[pi_k x^l]; <pi_n>_w = sum c_j m_j (m_0..m_n). The
     algorithm breaks down when some sigma_(k,k) = 0 (k < n), i.e. some
     Hankel determinant of nu vanishes; <pi_n>_w = 0 means det B_n = 0.
+
+    The loop carries S_k = c_k sigma_k and c_k pi_k on one scale c_k. With
+    d_k = S_(k,k), e_k = S_(k,k+1) (d_(-1) = 1, e_(-1) = 0), p = d_k d_(k-1),
+    q = e_k d_(k-1) - e_(k-1) d_k and r = d_k^2, a step is c_k p sigma_(k+1,l) =
+    p S_(k,l+1) - q S_(k,l) - r S_(k-1,l), and likewise for pi with x pi_k.
+    Rational nu is cleared to integers once (numeric.integer_rows); each step
+    divides S_(k+1) and pi_(k+1) by their content, and one Fraction is formed
+    per coefficient. Other exact values keep c_k = 1: p, q, r = 1, alpha_k, beta_k.
     """
-    prev, pi = [], [Fraction(1)]
-    sigma_prev, sigma = [0] * len(nu), list(nu)  # sigma_(-1,l) = 0
-    ratio_prev, diag_prev = 0, 1
+    cleared = integer_rows([nu])
+    [sigma], pi = cleared or ([list(nu)], [Fraction(1)])  # S_0 = c_0 nu, c_0 pi_0 = c_0
+    prev, sigma_prev, d_prev, e_prev = [], [0] * len(nu), 1, 0
     for k in range(n):
-        diag = sigma[k]
-        if not diag:
+        d, e = sigma[k], sigma[k + 1]
+        if not d:
             return None
-        ratio = sigma[k + 1] / diag
-        alpha, beta = ratio - ratio_prev, diag / diag_prev
-        # pi_(k+1) = (x - alpha) pi_k - beta pi_(k-1)
-        nxt = [0] + pi
+        if cleared is None:  # e_k is carried as e_k / d_k, as in alpha_k
+            e = e / d
+            q, r, x_sigma, nxt = e - e_prev, d / d_prev, sigma[1:], [0] + pi
+        else:  # x_sigma[l] = p S_(k,l+1) and nxt = p x c_k pi_k
+            p, q, r = d * d_prev, e * d_prev - e_prev * d, d * d
+            x_sigma, nxt = [p * v for v in sigma[1:]], [0] + [p * c for c in pi]
         for i, c in enumerate(pi):
-            nxt[i] = nxt[i] - alpha * c
+            nxt[i] -= q * c
         for i, c in enumerate(prev):
-            nxt[i] = nxt[i] - beta * c
-        # sigma_(k+1,l) = sigma_(k,l+1) - alpha sigma_(k,l) - beta sigma_(k-1,l)
-        ahead = list(sigma)
-        for l in range(k + 1, 2 * n - k - 1):
-            ahead[l] = sigma[l + 1] - alpha * sigma[l] - beta * sigma_prev[l]
-        prev, pi = pi, nxt
-        sigma_prev, sigma = sigma, ahead
-        ratio_prev, diag_prev = ratio, diag
-    norm = sum(c * m[j] for j, c in enumerate(pi))
-    if not norm:
-        return None
-    return Polynomial([Scalar(c / norm) for c in pi])
+            nxt[i] -= r * c
+        ahead = [0] * (k + 1) + [x_sigma[l] - q * sigma[l] - r * sigma_prev[l]
+                                 for l in range(k + 1, 2 * n - k - 1)]
+        if cleared is not None:
+            content = gcd(*nxt, *ahead)
+            nxt, ahead = [v // content for v in nxt], [v // content for v in ahead]
+        prev, pi, sigma_prev, sigma, d_prev, e_prev = pi, nxt, sigma, ahead, d, e
+    norm = _dot(pi, m)
+    return Polynomial([Scalar(c / norm) for c in pi]) if norm else None
 
 
 def _singular_message(det, n):

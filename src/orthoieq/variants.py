@@ -222,14 +222,17 @@ def _differences(P, rhs, samples):
     When P, rhs and the samples are all exact, the coefficients of P - rhs
     are formed once on raw values and that one polynomial is evaluated by
     Horner: exact arithmetic gives the same values as evaluating both sides.
-    Float mode evaluates both sides, since its rounding differs, and hands
-    the P(x) values on to the verdict's scale.
+    The zero polynomial a solution leaves is not evaluated. Float mode
+    evaluates both sides, since its rounding differs, and hands the P(x)
+    values on to the verdict's scale.
     """
     (a, b, xs), precision = unwrap(P.coeffs, rhs.coeffs, samples)
     if precision is not None:
         values = [P.eval(x) for x in samples]
         return [v - rhs.eval(x) for v, x in zip(values, samples)], values
     diff = [u - v for u, v in zip(a, b, strict=True)]  # an image has deg P + 1 coefficients
+    if not any(diff):
+        return [Scalar(Fraction(0))] * len(xs), None
     return [Scalar(_horner(diff, x)) for x in xs], None
 
 
@@ -248,12 +251,14 @@ def _abs_scalar(diff, context):
 def _verdict(deviations, qbound, context, scales=lambda: ()):
     """The largest deviation and whether it passes.
 
-    An exact deviation must be zero. A float one passes at or below
+    Rationals are compared exactly, other pairs by magnitude(). An exact
+    deviation must be zero. A float one passes at or below
     max(10 qbound, 10^(10-p) max(1, scales)); scales is called only then.
     """
     worst = deviations[0]
     for d in deviations[1:]:
-        if d.magnitude() > worst.magnitude():
+        exact = d.is_rational() and worst.is_rational()
+        if abs(d.value) > abs(worst.value) if exact else d.magnitude() > worst.magnitude():
             worst = d
     if worst.is_exact:
         return worst, worst.is_zero()

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 import sympy as sp
+from hypothesis import strategies as st
 
 from orthoieq import (
     DegenerateDegreeError,
@@ -14,6 +15,16 @@ from orthoieq import (
     SingularSystemError,
     contour_weight,
     preset_weight,
+)
+
+
+# exact rational entries for hypothesis: ints, small Fractions and Fractions
+# with denominators above 2^64, zero often
+ENTRY = st.one_of(
+    st.just(0),
+    st.integers(-9, 9),
+    st.builds(Fraction, st.integers(-30, 30), st.integers(1, 30)),
+    st.builds(Fraction, st.integers(-2**70, 2**70), st.integers(2**64 + 1, 2**70)),
 )
 
 

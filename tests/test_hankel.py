@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 import sympy as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orthoieq import (
     DegenerateDegreeError,
@@ -36,7 +38,7 @@ from orthoieq.linalg import determinant
 from orthoieq.numeric import IPiFraction
 from orthoieq.polynomials import power_table
 
-from conftest import ADDITIVE_PRESETS, I_PI, from_sympy, make_weight, rounded_outcome
+from conftest import ADDITIVE_PRESETS, ENTRY, I_PI, from_sympy, make_weight, rounded_outcome
 
 TOL35 = Fraction(1, 10**35)
 
@@ -369,6 +371,15 @@ class TestRecurrenceMatchesDenseSolve:
         for n in range(21):
             assert solve_polynomial(m, n).coeffs == dense_solution(m, n).coeffs
 
+    @pytest.mark.parametrize("name,params", [
+        ("laguerre", {"gamma": "13/2"}),
+        ("jacobi-add", {"p": "13/2", "q": "11/2"}),
+    ])
+    def test_high_degrees(self, name, params):
+        m = moments(make_weight(name, params), 81, mode="exact")
+        for n in (24, 30, 40):
+            assert solve_polynomial(m, n).coeffs == dense_solution(m, n).coeffs
+
     @pytest.mark.parametrize("winding", [0, 1])
     def test_contour_to_10(self, winding):
         m = contour_moments(winding, 21, mode="exact")
@@ -390,6 +401,136 @@ class TestRecurrenceMatchesDenseSolve:
             dense_solution(m, 2)
         assert solve_polynomial(m, 20).coeffs == want
         assert solve_linear_shift(m, 15, *shift).coeffs == want_shift
+
+
+def fraction_chebyshev(nu, n):
+    """The monic pi_n of L[x^j] = nu_j by the Chebyshev algorithm on
+    Fractions, alpha_k and beta_k formed by division at every step; None
+    when some sigma_(k,k) vanishes (k < n)."""
+    prev, pi = [], [Fraction(1)]
+    sigma_prev, sigma = [Fraction(0)] * len(nu), [Fraction(v) for v in nu]
+    ratio_prev, diag_prev = Fraction(0), Fraction(1)
+    for k in range(n):
+        diag = sigma[k]
+        if not diag:
+            return None
+        ratio = sigma[k + 1] / diag
+        alpha, beta = ratio - ratio_prev, diag / diag_prev
+        nxt = [Fraction(0)] + pi  # (x - alpha) pi_k - beta pi_(k-1)
+        for i, c in enumerate(pi):
+            nxt[i] -= alpha * c
+        for i, c in enumerate(prev):
+            nxt[i] -= beta * c
+        ahead = list(sigma)
+        for l in range(k + 1, 2 * n - k - 1):
+            ahead[l] = sigma[l + 1] - alpha * sigma[l] - beta * sigma_prev[l]
+        prev, pi = pi, nxt
+        sigma_prev, sigma = sigma, ahead
+        ratio_prev, diag_prev = ratio, diag
+    return pi
+
+
+def fraction_recurrence(m, nu, n):
+    """pi_n / <pi_n>_w on Fractions, or None on breakdown or <pi_n>_w = 0."""
+    pi = fraction_chebyshev(nu, n)
+    if pi is None:
+        return None
+    norm = sum(c * Fraction(m[j]) for j, c in enumerate(pi))
+    return [c / norm for c in pi] if norm else None
+
+
+def recurrence_outcome(m, nu, n):
+    P = recurrence_solve(m, nu, n)
+    return None if P is None else [(type(c.value), c.precision, c.value) for c in P.coeffs]
+
+
+# odd over even: never an integer, and negative about half the time
+HALF_ODD = st.builds(lambda num, den: Fraction(2 * num + 1, 2 * den),
+                     st.integers(-20, 19), st.integers(1, 6))
+
+
+def hankel_det(nu, size):
+    return determinant([[Scalar(nu[k + j]) for j in range(size)] for k in range(size)]).value
+
+
+@st.composite
+def chebyshev_inputs(draw):
+    """(m_0..m_2n, nu_0..nu_(2n-1), n, shape). "minor": the size-k Hankel
+    determinant of nu is made zero through nu_(2k-2), so sigma_(k-1,k-1) = 0;
+    "zero norm": m_n makes <pi_n>_w = 0; "shift": nu_j = a m_j + b m_(j+1)."""
+    n = draw(st.integers(0, 7))
+    m = draw(st.lists(ENTRY, min_size=2 * n + 1, max_size=2 * n + 1))
+    nu = draw(st.lists(ENTRY, min_size=2 * n, max_size=2 * n))
+    shape = draw(st.sampled_from(["any", "additive", "minor", "zero norm", "shift"]))
+    if shape == "additive":
+        nu = m[1:]
+    elif shape == "minor" and n:
+        k = draw(st.integers(1, n))
+        corner, nu[2 * k - 2] = nu[2 * k - 2], 0
+        below = hankel_det(nu, k - 1)
+        if below:  # det H_k is linear in its corner, with slope det H_(k-1)
+            nu[2 * k - 2] = -hankel_det(nu, k) / below
+        else:
+            nu[2 * k - 2] = corner
+    elif shape == "zero norm":
+        pi = fraction_chebyshev(nu, n)
+        if pi is not None:
+            m[n] = -sum(c * m[j] for j, c in enumerate(pi[:-1]))
+    elif shape == "shift":
+        a, b = draw(HALF_ODD), draw(HALF_ODD)
+        nu = [a * m[j] + b * m[j + 1] for j in range(2 * n)]
+    return m, nu, n, shape
+
+
+class TestRecurrenceMatchesFractionChebyshev:
+    """The fraction-free recurrence against the Chebyshev algorithm on
+    Fractions: the same P_n, value and type, or None at the same degree."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(chebyshev_inputs())
+    def test_every_degree(self, inputs):
+        m, nu, n, shape = inputs
+        for k in range(n + 1):  # every prefix: a breakdown shows at its own step
+            want = fraction_recurrence(m, nu[:2 * k], k)
+            if want is not None:
+                want = [(Fraction, None, c) for c in want]
+            assert recurrence_outcome(m[:k + 1], nu[:2 * k], k) == want
+        if shape == "minor" and n:
+            assert fraction_chebyshev(nu, n) is None
+        if shape == "zero norm":
+            assert fraction_recurrence(m, nu, n) is None
+
+    def test_vanishing_minor_mid_way(self):
+        # det [[1, 2], [2, 4]] = 0: sigma_(1,1) = 0, so degrees 0 and 1 solve and 2, 3 do not
+        nu = [1, 2, 4, Fraction(1, 3), 5, 7]
+        m = [1, Fraction(1, 2), Fraction(1, 3), Fraction(1, 4)]
+        got = [recurrence_solve(m, nu[:2 * n], n) for n in range(4)]
+        assert [P is None for P in got] == [False, False, True, True]
+        assert [fraction_recurrence(m, nu[:2 * n], n) is None for n in range(4)] == [
+            False, False, True, True]
+
+    def test_zero_norm(self):
+        # pi_1 = x - 2 for nu = (1, 2): <pi_1>_w = m_1 - 2 m_0 = 0
+        assert fraction_chebyshev([1, 2], 1) == [-2, 1]
+        assert recurrence_solve([Fraction(1, 3), Fraction(2, 3)], [1, 2], 1) is None
+
+    def test_shift_with_negative_fractional_a_and_b(self):
+        m = moments(preset_weight("laguerre", gamma=Fraction(13, 2)), 25, mode="exact")
+        raw = [v.value for v in m.values]
+        a, b = Fraction(-9, 2), Fraction(-3, 7)
+        nu = [a * raw[j] + b * raw[j + 1] for j in range(24)]
+        for n in range(13):
+            P = recurrence_solve(raw, nu[:2 * n], n)
+            assert [c.value for c in P.coeffs] == fraction_recurrence(raw, nu[:2 * n], n)
+            assert all(type(c.value) is Fraction for c in P.coeffs)
+
+    def test_denominators_above_2_64(self):
+        big = 2**64 + 13
+        nu = [Fraction(3, big), 1, Fraction(-5, big + 2), Fraction(7, 3), Fraction(1, big**2), 2]
+        m = [Fraction(1, big), 2, Fraction(-1, 3), 5]
+        for n in range(4):
+            P = recurrence_solve(m, nu[:2 * n], n)
+            assert [c.value for c in P.coeffs] == fraction_recurrence(m, nu[:2 * n], n)
 
 
 class TestRecurrenceFallback:

@@ -24,6 +24,8 @@ from orthoieq.linalg import det_lu_flag, solve_full_pivot
 from orthoieq.numeric import IPiFraction, integer_rows, tolerance
 from orthoieq.polynomials import _dot
 
+from conftest import ENTRY
+
 
 def scalar_solve_full_pivot(matrix, rhs):
     """Full-pivot elimination on Scalars, every operation through Scalar arithmetic."""
@@ -188,15 +190,6 @@ def outcome(f, *args):
 def exact(rows):
     """Scalars holding the raw values as given: ints stay ints, Fractions Fractions."""
     return [[Scalar(v) for v in row] for row in rows]
-
-
-# ints, small Fractions and Fractions with denominators above 2^64, zero often
-ENTRY = st.one_of(
-    st.just(0),
-    st.integers(-9, 9),
-    st.builds(Fraction, st.integers(-30, 30), st.integers(1, 30)),
-    st.builds(Fraction, st.integers(-2**70, 2**70), st.integers(2**64 + 1, 2**70)),
-)
 
 
 @st.composite

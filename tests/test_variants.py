@@ -44,7 +44,7 @@ from orthoieq.linalg import solve_full_pivot
 from orthoieq.numeric import tolerance
 from orthoieq.polynomials import power_table
 
-from conftest import from_sympy, rounded_outcome
+from conftest import I_PI, from_sympy, rounded_outcome
 
 TOL35 = Fraction(1, 10**35)
 TOL30 = Fraction(1, 10**30)
@@ -696,6 +696,75 @@ class TestExactResidualsFromOneDifference:
             assert [type(v) for v in got] == [type(v) for v in residuals] == [Fraction] * 7
             assert all(r.is_exact for r in report.residuals)
             assert report.passed == all(r == 0 for r in residuals)
+
+
+def horner(coeffs, x):
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+class TestExactVerifyReport:
+    """Exact verify reports what evaluating P and its image separately at
+    every sample gives: residuals (value and type), max_residual and verdict,
+    for solutions (whose P - image is the zero polynomial) and for copies
+    with one corrupted coefficient."""
+
+    W = preset_weight("laguerre", gamma=Fraction(13, 2))
+    FORMS = [(Additive(), [0, 1]), (LinearShift(Fraction(9, 2), 2), [Fraction(9, 2), 2]),
+             (Functional("x^2"), [0, 0, 1])]
+
+    @staticmethod
+    def evaluated_report(P, g, m, samples):
+        """The residuals |P(x) - image(x)|, each side evaluated by Horner, the
+        first largest of them, and whether it is zero."""
+        image = polynomials.binomial_image(P, polynomials.argument_moments(P, g, P.degree, m))
+        a, b = [c.value for c in P.coeffs], [c.value for c in image.coeffs]
+        residuals = [Scalar.exact(abs(horner(a, x.value) - horner(b, x.value))) for x in samples]
+        worst = max(residuals, key=lambda r: r.value)
+        return residuals, worst, worst.is_zero()
+
+    @pytest.mark.parametrize("form,g", FORMS, ids=["additive", "shift", "x^2"])
+    @pytest.mark.parametrize("n", [4, 12, 16])
+    def test_report_equals_evaluation(self, form, g, n):
+        m = moments(self.W, 3 * n + 1, mode="exact")
+        if isinstance(form, Additive):
+            P = solve_polynomial(m, n)
+        elif isinstance(form, LinearShift):
+            P = solve_linear_shift(m, n, form.a, form.b)
+        else:
+            P = solve_functional(self.W, form.f, n, mode="exact")
+        k = n // 2
+        bad = Polynomial(P.coeffs[:k] + (P.coeffs[k] * Fraction(10**8 + 1, 10**8),)
+                         + P.coeffs[k + 1:])
+        samples = variants.default_samples(self.W.interval, seed=n, mode="exact")
+        for poly, passes in [(P, True), (bad, False)]:
+            report = verify(poly, self.W, form, samples, mode="exact", moment_seq=m)
+            residuals, worst, passed = self.evaluated_report(poly, g, m, samples)
+            assert [(type(r.value), r.precision, r.value) for r in report.residuals] == [
+                (type(r.value), r.precision, r.value) for r in residuals]
+            assert all(type(r.value) is Fraction for r in report.residuals)
+            assert (report.max_residual.value, report.max_residual.precision) == (
+                worst.value, worst.precision)
+            assert type(report.max_residual.value) is Fraction
+            assert report.passed is passed is passes
+
+
+class TestVerdictComparesRationalsExactly:
+    def test_residuals_tied_to_30_digits(self, ctx50):
+        small = Fraction(1, 3)
+        large = small + Fraction(1, 10**40)
+        assert Scalar.exact(small).magnitude() == Scalar.exact(large).magnitude()
+        for order in ([small, large], [large, small]):
+            worst, passed = variants._verdict([Scalar.exact(v) for v in order],
+                                              Scalar.exact(0), ctx50)
+            assert worst.value == large and passed is False
+
+    def test_ipi_deviations_are_sized_by_magnitude(self, ctx50):
+        worst, passed = variants._verdict([Scalar.exact(Fraction(3)), I_PI, Scalar.exact(0)],
+                                          Scalar.exact(0), ctx50)
+        assert worst is I_PI and passed is False
 
 
 class TestFloatVerifyEvaluatesPOnce:
