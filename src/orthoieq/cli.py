@@ -13,6 +13,7 @@ import json
 import os
 import re
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 from .errors import (
@@ -72,8 +73,8 @@ EXIT_VERIFY = 4
 
 def scalar_json(s: Scalar, context: PrecisionContext):
     if s.is_rational():
-        f = s.as_fraction()
-        return {"num": str(f.numerator), "den": str(f.denominator)}
+        f = s.as_fraction()  # str(int) and int(str) stop at 4300 digits; decimal does not
+        return {"num": str(Decimal(f.numerator)), "den": str(Decimal(f.denominator))}
     re, im = s.real_imag(context.precision)
     mp = context.mp
     return {"re": _decimal(re, mp, context.precision), "im": _decimal(im, mp, context.precision)}
@@ -87,7 +88,7 @@ def _decimal(x, mp, digits):
 
 def scalar_from_json(obj, mode: str, context: PrecisionContext) -> Scalar:
     if "num" in obj:
-        value = Scalar.exact(Fraction(int(obj["num"]), int(obj["den"])))
+        value = Scalar.exact(Fraction(Decimal(obj["num"])) / Fraction(Decimal(obj["den"])))
         return value if mode == "exact" else value.to_float(context)
     mp = context.mp
     return Scalar(mp.mpc(mp.mpf(obj["re"]), mp.mpf(obj["im"])), context.precision)

@@ -10,8 +10,8 @@ and the checks in variants).
 Each contraction unwraps its Scalars once by the one rule the package
 shares, numeric.unwrap (exact values stay Fraction or IPiFraction; exact
 entries meet float ones at the float precision they share), computes on
-the raw values and wraps its results once. A sum of rational terms adds
-them on integer numerators and denominators and reduces once; any other
+the raw values and wraps its results once. Rational rows are cleared to
+integers once and summed on integers, one Fraction per result; any other
 sum adds its terms in the order Scalar arithmetic would. An exact factor
 (a power of g, a_k C(k, i)) is formed exactly before it meets a float
 one, so a polynomial of one mode against moments of one mode gives the
@@ -21,14 +21,13 @@ value, and in float mode the bits, of the elementwise Scalar computation.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain, islice
 from math import comb
+from operator import add, mul
 
 from .errors import DegenerateDegreeError, InsufficientMomentsError
-from .numeric import PrecisionContext, Scalar, unwrap
+from .numeric import PrecisionContext, Scalar, integer_rows, unwrap
 
 _ZERO = Scalar.exact(0)
-_RATIONAL = (int, Fraction)
 
 
 class Polynomial:
@@ -125,20 +124,14 @@ def _horner(coeffs, x):
 def _dot(a, b):
     """sum_j a_j b_j over the length of a, terms added in ascending j.
 
-    Rational terms add on unreduced integer numerators and denominators,
-    and one Fraction is formed at the end; other values (IPiFraction,
-    mpmath numbers) add in the order Scalar arithmetic would.
+    Rational rows are cleared to integers once and one Fraction is formed
+    at the end; other values (IPiFraction, mpmath numbers) add in the
+    order Scalar arithmetic would.
     """
-    if all(isinstance(v, _RATIONAL) for v in chain(a, islice(b, len(a)))):
-        num, den = 0, 1
-        for x, y in zip(a, b):
-            d = x.denominator * y.denominator
-            if d == den:
-                num += x.numerator * y.numerator
-            else:
-                num = num * d + x.numerator * y.numerator * den
-                den *= d
-        return Fraction(num, den)
+    cleared = integer_rows([a, b[:len(a)]])
+    if cleared is not None:
+        (x, y), (dx, dy) = cleared
+        return Fraction(sum(map(mul, x, y)), dx * dy)
     acc = a[0] * b[0]
     for j in range(1, len(a)):
         acc = acc + a[j] * b[j]
@@ -155,10 +148,15 @@ def _require(P: Polynomial, k: int, m):
 
 def _raw_moments(P: Polynomial, kmax: int, m):
     """The raw coefficients of P, mu_k = <x^k P> for k = 0..kmax, and their
-    precision. A short m raises inner_moment's error for the first k it misses."""
+    precision. A short m raises inner_moment's error for the first k it misses.
+    Rational P = A/d_a and m = M/d_m clear once: mu_k = sum_j A_j M_(k+j) / (d_a d_m)."""
     _require(P, max(0, min(kmax, len(m) - P.degree)), m)
     (a, values), precision = unwrap(P.coeffs, [m[t] for t in range(P.degree + kmax + 1)])
-    return a, [_dot(a, values[k:]) for k in range(kmax + 1)], precision
+    cleared = integer_rows([a, values]) if precision is None else None
+    if cleared is None:
+        return a, [_dot(a, values[k:]) for k in range(kmax + 1)], precision
+    (A, M), (d_a, d_m) = cleared
+    return a, [Fraction(sum(map(mul, A, M[k:])), d_a * d_m) for k in range(kmax + 1)], None
 
 
 def inner_moment(P: Polynomial, k: int, m) -> Scalar:
@@ -196,17 +194,25 @@ def power_table(g, kmax: int, seq, width: int):
     moments the rows are <g^k x^j>; against mu_t = <x^t P> they are
     s_k = <g^k P>. Each power of g is formed once, in the mode of g, and
     meets seq only in the contraction; each entry sums its nonzero terms
-    in ascending t. Row 0 is seq itself.
+    in ascending t. Row 0 is seq itself. Rational g = G/d_g and seq = V/d_v
+    clear once: rows[k][j] = sum_t (G^k)_t V_(t+j) / (d_g^k d_v).
     """
     g = Polynomial(g)
     seq = [seq[i] for i in range(g.degree * kmax + width)]
+    rows, power, terms = [seq[:width]], [1], []
+    (gv, values), precision = unwrap(g.coeffs, seq)
+    cleared = integer_rows([gv, values]) if precision is None else None
+    if cleared is not None:
+        (G, V), (d_g, scale) = cleared
+        for _ in range(kmax):
+            power, scale = _convolve(power, G), scale * d_g
+            rows.append([Scalar(Fraction(sum(map(mul, power, V[j:])), scale)) for j in range(width)])
+        return rows
     (gv,), g_precision = unwrap(g.coeffs)
-    terms, power = [], [1]
     for _ in range(kmax):
         power = _convolve(power, gv)
         terms.append([(t, Scalar(c, g_precision)) for t, c in enumerate(power) if c != 0])
     (*coeffs, values), precision = unwrap(*([c for _, c in row] for row in terms), seq)
-    rows = [seq[:width]]
     for row, cs in zip(terms, coeffs):
         rows.append([Scalar(_dot(cs, [values[t + j] for t, _ in row]), precision)
                      for j in range(width)])
@@ -245,9 +251,21 @@ def binomial_image(P: Polynomial, s) -> Polynomial:
     s_r = <g(y)^r P(y)>, integral of w(y) P(y) P(x + g(y)) dy (additive,
     shifted and functional forms), and with s_r = <y^r f[P(y)]>, integral
     of w(y) f[P(y)] P(x + y) dy. The leading coefficient may vanish.
-    Each a_k C(k,i) is formed in the mode of P before it meets s.
+    Rational P = A/d_a and s = S/d_s clear once: the x^i coefficient is
+    sum_k A_k C(k,i) S_(k-i) / (d_a d_s), C(k,i) from the Pascal row of k
+    built in the loop. Otherwise a_k C(k,i) is formed in P's mode before it meets s.
     """
     n = P.degree
+    (a, values), precision = unwrap(P.coeffs, [s[r] for r in range(n + 1)])
+    cleared = integer_rows([a, values]) if precision is None else None
+    if cleared is not None:
+        (A, S), (d_a, d_s) = cleared
+        sums, row = [0] * (n + 1), []
+        for k, c in enumerate(A):
+            row = [1, *map(add, row, row[1:]), 1][:k + 1]  # C(k, 0..k)
+            for i, b in enumerate(row):
+                sums[i] += c * b * S[k - i]
+        return Polynomial([Scalar(Fraction(v, d_a * d_s)) for v in sums], allow_zero_leading=True)
     (a,), p_precision = unwrap(P.coeffs)
     to_raw = int if p_precision is None else PrecisionContext(p_precision).mp.mpf
     scaled = [[Scalar(a[k] * to_raw(comb(k, i)), p_precision) for k in range(i, n + 1)]

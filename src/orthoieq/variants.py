@@ -222,17 +222,17 @@ def _differences(P, rhs, samples):
     When P, rhs and the samples are all exact, the coefficients of P - rhs
     are formed once on raw values and that one polynomial is evaluated by
     Horner: exact arithmetic gives the same values as evaluating both sides.
-    The zero polynomial a solution leaves is not evaluated. Float mode
-    evaluates both sides, since its rounding differs, and hands the P(x)
-    values on to the verdict's scale.
+    A solution's zero P - rhs is found by comparing the reduced coefficient
+    lists: no subtraction, no evaluation. Float mode evaluates both sides,
+    since its rounding differs, and hands the P(x) values to the verdict's scale.
     """
     (a, b, xs), precision = unwrap(P.coeffs, rhs.coeffs, samples)
     if precision is not None:
         values = [P.eval(x) for x in samples]
         return [v - rhs.eval(x) for v, x in zip(values, samples)], values
-    diff = [u - v for u, v in zip(a, b, strict=True)]  # an image has deg P + 1 coefficients
-    if not any(diff):
+    if a == b:
         return [Scalar(Fraction(0))] * len(xs), None
+    diff = [u - v for u, v in zip(a, b, strict=True)]  # an image has deg P + 1 coefficients
     return [Scalar(_horner(diff, x)) for x in xs], None
 
 

@@ -13,10 +13,18 @@ from orthoieq import (
     Multiplicative,
     Polynomial,
     PrecisionContext,
+    Scalar,
     contour_weight,
     solve_functional,
 )
-from orthoieq.cli import _form_from_args, _verification_summary, build_parser, main
+from orthoieq.cli import (
+    _form_from_args,
+    _verification_summary,
+    build_parser,
+    main,
+    scalar_from_json,
+    scalar_json,
+)
 
 
 def run_cli(capsys, *argv):
@@ -443,6 +451,20 @@ class TestSignedValues:
         code, out, err = run_cli(capsys, "poly", "--preset", "laguerre", "--gamma", "-n", "1")
         assert (code, out) == (2, "")
         assert "argument --gamma: expected one argument" in err
+
+
+def test_rationals_past_the_int_string_limit_round_trip(ctx50):
+    """A 5000-digit numerator and denominator (Python caps str(int) and int(str)
+    at 4300 digits by default, and det B_58 of laguerre(13/2) has 4308)."""
+    num, den = -(10**4999 + 7), 2 * 10**4999 + 3  # coprime
+    value = Scalar.exact(Fraction(num, den))
+    obj = scalar_json(value, ctx50)
+    assert obj == {"num": "-1" + "0" * 4998 + "7", "den": "2" + "0" * 4998 + "3"}
+    assert json.loads(json.dumps(obj)) == obj
+    back = scalar_from_json(obj, "exact", ctx50)
+    assert back == value and back.value == Fraction(num, den)
+    assert type(back.value) is Fraction and back.is_exact
+    assert scalar_from_json(obj, "float", ctx50) == value.to_float(ctx50)
 
 
 class TestOutputFormats:

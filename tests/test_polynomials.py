@@ -5,7 +5,7 @@ from operator import add
 
 import pytest
 import sympy as sp
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from orthoieq import (
@@ -29,7 +29,7 @@ from orthoieq import (
 from orthoieq.numeric import I_PI
 from orthoieq.polynomials import argument_moments, binomial_image, power_table
 
-from conftest import from_sympy
+from conftest import ENTRY, from_sympy
 
 small_fraction = st.fractions(
     min_value=Fraction(-9), max_value=Fraction(9), max_denominator=7
@@ -354,6 +354,43 @@ class TestRawContractionsMatchScalarArithmetic:
         Q = Polynomial([ctx50.scalar(Fraction(1, 3)), ctx50.scalar(-2), ctx50.scalar(5)])
         check_every_contraction(P, Q, m, [ctx50.scalar(x) for x in self.SAMPLES], self.SHIFT)
         check_every_contraction(Q, P, m, [Scalar.exact(x) for x in self.SAMPLES], self.SHIFT)
+
+
+# negative non-integer shifts, with small and with over-2^64 denominators
+NEGATIVE_SHIFT = st.one_of(
+    st.fractions(min_value=Fraction(-9), max_value=Fraction(-1, 30), max_denominator=30),
+    st.builds(lambda p, q: -Fraction(p, q), st.integers(1, 2**70), st.integers(2**64 + 1, 2**70)),
+).filter(lambda v: v.denominator > 1)
+NONZERO = ENTRY.filter(lambda v: v != 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.data(),
+    n=st.integers(1, 5),
+    a=NEGATIVE_SHIFT,
+    b=NEGATIVE_SHIFT,
+    zero_image_lead=st.booleans(),
+)
+def test_rational_contractions_match_scalar_arithmetic(data, n, a, b, zero_image_lead):
+    """Random rational P, Q, moments and samples: every contraction against
+    its elementwise Scalar reference, value and type. With zero_image_lead,
+    a_0 is chosen so that <P> = 0, and every image's leading coefficient
+    a_n s_0 vanishes."""
+    coeffs = data.draw(st.lists(ENTRY, min_size=n, max_size=n))
+    coeffs.append(data.draw(NONZERO))
+    m = data.draw(st.lists(ENTRY, min_size=3 * n + 1, max_size=3 * n + 4))
+    if zero_image_lead:
+        assume(m[0] != 0)
+        coeffs[0] = -sum(Fraction(coeffs[j]) * m[j] for j in range(1, n + 1)) / m[0]
+    P = Polynomial(coeffs)
+    Q = Polynomial(data.draw(st.lists(ENTRY, max_size=3)) + [data.draw(NONZERO)])
+    samples = [Scalar.exact(x) for x in data.draw(st.lists(ENTRY, min_size=1, max_size=3))]
+    m = [Scalar.exact(v) for v in m]  # any rational m_0: no normalized weight
+    check_every_contraction(P, Q, m, samples, [a, b])
+    if zero_image_lead:
+        for g in ([0, 1], [a, b]):
+            assert binomial_image(P, argument_moments(P, g, n, m)).leading.is_zero()
 
 
 class TestMixedFloatPrecisions:

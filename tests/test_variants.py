@@ -705,36 +705,59 @@ def horner(coeffs, x):
     return acc
 
 
+def fraction_image(a, g, m):
+    """The right side of P(x) = integral of w(y) P(y) P(x + g(y)) dy, or of
+    P(x y) for g = None, by plain Fraction loops on P's coefficients a and
+    the moments m: mu_t = sum_j a_j m_(t+j), s_r = sum_t [y^t] g^r mu_t and
+    the x^i coefficient sum_k a_k C(k, i) s_(k-i) (a_k mu_k for P(x y))."""
+    n = len(a) - 1
+    width = n * (len(g) - 1 if g else 1) + 1
+    mu = [sum(a[j] * m[t + j] for j in range(n + 1)) for t in range(width)]
+    if g is None:
+        return [a[k] * mu[k] for k in range(n + 1)]
+    s, power = [], [Fraction(1)]
+    for _ in range(n + 1):
+        s.append(sum(c * mu[t] for t, c in enumerate(power)))
+        power = [sum(power[t - u] * g[u] for u in range(len(g)) if 0 <= t - u < len(power))
+                 for t in range(len(power) + len(g) - 1)]
+    return [sum(a[k] * comb(k, i) * s[k - i] for k in range(i, n + 1)) for i in range(n + 1)]
+
+
 class TestExactVerifyReport:
     """Exact verify reports what evaluating P and its image separately at
     every sample gives: residuals (value and type), max_residual and verdict,
     for solutions (whose P - image is the zero polynomial) and for copies
-    with one corrupted coefficient."""
+    with one corrupted coefficient. The image is formed here by plain
+    Fraction loops, apart from the package's contractions."""
 
     W = preset_weight("laguerre", gamma=Fraction(13, 2))
-    FORMS = [(Additive(), [0, 1]), (LinearShift(Fraction(9, 2), 2), [Fraction(9, 2), 2]),
-             (Functional("x^2"), [0, 0, 1])]
+    FORMS = [Additive(), LinearShift(Fraction(9, 2), 2), Functional("x^2"), Multiplicative()]
+    ARGUMENTS = [[0, 1], [Fraction(9, 2), 2], [0, 0, 1], None]
 
     @staticmethod
     def evaluated_report(P, g, m, samples):
         """The residuals |P(x) - image(x)|, each side evaluated by Horner, the
         first largest of them, and whether it is zero."""
-        image = polynomials.binomial_image(P, polynomials.argument_moments(P, g, P.degree, m))
-        a, b = [c.value for c in P.coeffs], [c.value for c in image.coeffs]
+        a = [c.value for c in P.coeffs]
+        b = fraction_image(a, g, [v.value for v in m.values])
         residuals = [Scalar.exact(abs(horner(a, x.value) - horner(b, x.value))) for x in samples]
         worst = max(residuals, key=lambda r: r.value)
         return residuals, worst, worst.is_zero()
 
-    @pytest.mark.parametrize("form,g", FORMS, ids=["additive", "shift", "x^2"])
-    @pytest.mark.parametrize("n", [4, 12, 16])
+    @pytest.mark.parametrize("form,g", zip(FORMS, ARGUMENTS),
+                             ids=["additive", "shift", "x^2", "multiplicative"])
+    @pytest.mark.parametrize("n", [4, 12, 16, 24, 40])
     def test_report_equals_evaluation(self, form, g, n):
         m = moments(self.W, 3 * n + 1, mode="exact")
         if isinstance(form, Additive):
             P = solve_polynomial(m, n)
         elif isinstance(form, LinearShift):
             P = solve_linear_shift(m, n, form.a, form.b)
-        else:
+        elif isinstance(form, Functional):
             P = solve_functional(self.W, form.f, n, mode="exact")
+        else:  # the full support below n
+            form = Multiplicative(range(n))
+            P = solve_multiplicative(m, n, form.pattern)
         k = n // 2
         bad = Polynomial(P.coeffs[:k] + (P.coeffs[k] * Fraction(10**8 + 1, 10**8),)
                          + P.coeffs[k + 1:])
