@@ -87,11 +87,29 @@ def _decimal(x, mp, digits):
 
 
 def scalar_from_json(obj, mode: str, context: PrecisionContext) -> Scalar:
-    if "num" in obj:
-        value = Scalar.exact(Fraction(Decimal(obj["num"])) / Fraction(Decimal(obj["den"])))
+    """A coefficient as scalar_json writes it: {"num", "den"} signed digit
+    strings or {"re", "im"} numbers. Anything else raises ConfigurationError."""
+    if isinstance(obj, dict) and "num" in obj:
+        num, den = _json_integer(obj, "num"), _json_integer(obj, "den")
+        if not den:
+            raise ConfigurationError(f"coefficient {obj!r} has a zero denominator")
+        value = Scalar.exact(Fraction(num, den))
         return value if mode == "exact" else value.to_float(context)
     mp = context.mp
-    return Scalar(mp.mpc(mp.mpf(obj["re"]), mp.mpf(obj["im"])), context.precision)
+    try:
+        return Scalar(mp.mpc(mp.mpf(obj["re"]), mp.mpf(obj["im"])), context.precision)
+    except (KeyError, TypeError, ValueError):
+        raise ConfigurationError(
+            f'coefficient {obj!r} is neither {{"num", "den"}} digit strings '
+            'nor {"re", "im"} numbers'
+        ) from None
+
+
+def _json_integer(obj, key):
+    text = obj.get(key)
+    if not isinstance(text, str) or not re.fullmatch(r"[+-]?[0-9]+", text):
+        raise ConfigurationError(f"coefficient {key} must be a signed digit string, got {text!r}")
+    return int(Decimal(text))  # int(str) stops at 4300 digits; decimal does not
 
 
 # ---------------------------------------------------------------------------

@@ -45,7 +45,7 @@ from .errors import (
 from .linalg import det_lu_flag, determinant, solve_full_pivot
 from .moments import on_exact_values
 from .numeric import PrecisionContext, Scalar, integer_rows, tolerance
-from .polynomials import Polynomial, _dot, power_table
+from .polynomials import Polynomial, _exact_dot, power_table
 
 
 def _require(m, length, what):
@@ -176,7 +176,7 @@ def recurrence_solve(m, nu, n: int) -> Polynomial | None:
             content = gcd(*nxt, *ahead)
             nxt, ahead = [v // content for v in nxt], [v // content for v in ahead]
         prev, pi, sigma_prev, sigma, d_prev, e_prev = pi, nxt, sigma, ahead, d, e
-    norm = _dot(pi, m)
+    norm = _exact_dot(pi, m)
     return Polynomial([Scalar(c / norm) for c in pi]) if norm else None
 
 

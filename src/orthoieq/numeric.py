@@ -247,19 +247,28 @@ def _at_pi(terms, digits: int):
 def unwrap(*groups):
     """The raw values of each group of Scalars, and the float precision they share.
 
-    This is the one rule for computing on raw values: when every entry is
-    exact the values stay Fraction or IPiFraction and the precision is
-    None; otherwise each exact entry is converted to the one float
-    precision the entries share, as Scalar arithmetic does, and two float
-    precisions raise ModeError. Results are wrapped as Scalar(value, precision).
+    This is the rule for computing on raw values as Scalar arithmetic
+    does: when every entry is exact the values stay Fraction or IPiFraction
+    and the precision is None; otherwise each exact entry is converted to
+    the one float precision the entries share (shared_precision), and two
+    float precisions raise ModeError. Results are wrapped as
+    Scalar(value, precision). The integer-row contractions of polynomials
+    take the same precision but keep exact entries exact.
     """
-    precisions = sorted({entry.precision for group in groups for entry in group} - {None})
-    if not precisions:
+    precision = shared_precision(*groups)
+    if precision is None:
         return [[entry.value for entry in group] for group in groups], None
+    ctx = PrecisionContext(precision)
+    return [[entry.to_float(ctx).value for entry in group] for group in groups], precision
+
+
+def shared_precision(*groups):
+    """The one float precision of the Scalars in the groups, None when every
+    entry is exact; two float precisions raise ModeError."""
+    precisions = sorted({entry.precision for group in groups for entry in group} - {None})
     if len(precisions) > 1:
         raise ModeError(f"mixed float precisions {precisions[0]} and {precisions[1]}")
-    ctx = PrecisionContext(precisions[0])
-    return [[entry.to_float(ctx).value for entry in group] for group in groups], ctx.precision
+    return precisions[0] if precisions else None
 
 
 def integer_rows(rows):

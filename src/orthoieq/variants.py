@@ -28,6 +28,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 from . import expressions as ex
 from .errors import (
@@ -39,14 +40,13 @@ from .errors import (
 from .hankel import solve_e0, solve_kernel, solve_polynomial, vanishes
 from .linalg import solve_full_pivot
 from .moments import MomentSequence, generalized_moments, moments, on_exact_values
-from .numeric import PrecisionContext, Scalar, scalar_eq, tolerance, unwrap
+from .numeric import PrecisionContext, Scalar, scalar_eq, tolerance
 from .polynomials import (
     Polynomial,
     _horner,
-    argument_moments,
-    binomial_image,
+    image_residuals,
     inner_moment,
-    multiplicative_image,
+    kernel_moments,
 )
 from .quadrature import working_context
 from .weights import Weight
@@ -140,15 +140,24 @@ class VerificationReport:
 
 def default_samples(interval, *, seed: int = 0, mode: str = "float",
                     context: PrecisionContext | None = None):
-    """7 reproducible sample points: clipped endpoints, midpoint, 4 seeded randoms."""
-    lo, hi = interval.sample_span()
+    """7 reproducible sample points: clipped endpoints, midpoint, 4 seeded randoms.
+
+    Built once per span, seed, mode and precision (a small memo of
+    immutable tuples), rounded to the context's precision in float mode.
+    """
+    precision = (context or PrecisionContext()).precision if mode == "float" else None
+    return _samples(*interval.sample_span(), seed, precision)
+
+
+@lru_cache(maxsize=64)
+def _samples(lo, hi, seed, precision):
     rng = random.Random(seed)
     points = [lo, (lo + hi) / 2, hi]
     for _ in range(4):
         points.append(lo + (hi - lo) * Fraction(rng.getrandbits(48), 1 << 48))
     scalars = [Scalar.exact(pt) for pt in points]
-    if mode == "float":
-        context = context or PrecisionContext()
+    if precision is not None:
+        context = PrecisionContext(precision)
         scalars = [s.to_float(context) for s in scalars]
     return tuple(scalars)
 
@@ -159,7 +168,10 @@ def verify(P: Polynomial, w: Weight, form, samples=None, *, mode: str = "float",
     """Substitute P into the chosen equation form and report per-sample residuals.
 
     Real weights only; contour solutions are checked through the linear
-    moment conditions instead of pointwise substitution.
+    moment conditions instead of pointwise substitution. When P, the
+    moments and the samples are real (rational or binary float), each
+    residual is the exact residual of those inputs rounded once
+    (polynomials.image_residuals).
     """
     if w.is_contour:
         raise ConfigurationError(
@@ -170,22 +182,20 @@ def verify(P: Polynomial, w: Weight, form, samples=None, *, mode: str = "float",
         samples = default_samples(w.interval, seed=seed, mode=mode, context=context)
     n = P.degree
     if isinstance(form, (Additive, LinearShift, Functional)):
-        s, qbound = _kernel_moments(P, w, form, mode, context, moment_seq)
-        rhs = binomial_image(P, s)
+        g, table, qbound = _kernel_table(P, w, form, mode, context, moment_seq)
+        image = {"kernel": (g, table)}
     elif isinstance(form, Multiplicative):
         qbound = Scalar.exact(0)
-        rhs = multiplicative_image(P, _plain_moments(w, 2 * n + 1, mode, context, moment_seq))
+        image = {"multiplicative": _plain_moments(w, 2 * n + 1, mode, context, moment_seq)}
     elif isinstance(form, ArbitraryF):
         qbound = _quadrature_bound(context)
-        rhs = binomial_image(P, _f_of_p_moments(P, w, form.f, n, context))
+        image = {"s": _f_of_p_moments(P, w, form.f, n, context)}
     else:
         raise ConfigurationError(f"unknown equation form {form!r}")
 
-    differences, p_values = _differences(P, rhs, samples)
+    differences, scales = image_residuals(P, samples, **image)
     residuals = [_abs_scalar(d, context) for d in differences]
-    max_residual, passed = _verdict(
-        residuals, qbound, context, lambda: [v.magnitude() for v in p_values]
-    )
+    max_residual, passed = _verdict(residuals, qbound, context, scales)
     return VerificationReport(
         form=form,
         sample_points=tuple(samples),
@@ -214,26 +224,6 @@ def moment_conditions(P: Polynomial, w: Weight, form, *, mode: str = "float",
         s, _ = _kernel_moments(P, w, form, mode, context, moment_seq)
         deviations = [v - one if k == 0 else v for k, v in enumerate(s)]
     return _verdict([_abs_scalar(d, context) for d in deviations], Scalar.exact(0), context)
-
-
-def _differences(P, rhs, samples):
-    """P(x) - rhs(x) at each sample, and the values P(x) (None when exact).
-
-    When P, rhs and the samples are all exact, the coefficients of P - rhs
-    are formed once on raw values and that one polynomial is evaluated by
-    Horner: exact arithmetic gives the same values as evaluating both sides.
-    A solution's zero P - rhs is found by comparing the reduced coefficient
-    lists: no subtraction, no evaluation. Float mode evaluates both sides,
-    since its rounding differs, and hands the P(x) values to the verdict's scale.
-    """
-    (a, b, xs), precision = unwrap(P.coeffs, rhs.coeffs, samples)
-    if precision is not None:
-        values = [P.eval(x) for x in samples]
-        return [v - rhs.eval(x) for v, x in zip(values, samples)], values
-    if a == b:
-        return [Scalar(Fraction(0))] * len(xs), None
-    diff = [u - v for u, v in zip(a, b, strict=True)]  # an image has deg P + 1 coefficients
-    return [Scalar(_horner(diff, x)) for x in xs], None
 
 
 def _plain_moments(w, count, mode, context, moment_seq):
@@ -272,18 +262,20 @@ def _verdict(deviations, qbound, context, scales=lambda: ()):
 
 def _kernel_moments(P, w, form, mode, context, moment_seq):
     """s_r = <g(y)^r P(y)>, r = 0..deg P, for the kernel P(x + g(y)) of an
-    Additive, LinearShift or Functional form, with the quadrature bound s carries.
+    Additive, LinearShift or Functional form, with the quadrature bound s carries."""
+    g, table, qbound = _kernel_table(P, w, form, mode, context, moment_seq)
+    return kernel_moments(P, g, table), qbound
 
-    A polynomial g contracts exactly in the plain moments (zero bound);
-    any other f contracts P against the integrated <f^r y^j> table.
-    """
+
+def _kernel_table(P, w, form, mode, context, moment_seq):
+    """(g, table, bound) for the kernel P(x + g(y)): a polynomial g with the
+    plain moments (zero bound), or None with the integrated <f^r y^j> table
+    of any other f and its quadrature bound."""
     n = P.degree
     g = _polynomial_argument(form)
     if g is None:
-        rows = generalized_moments(w, form.f, n, n, context=context)
-        return [inner_moment(P, 0, row) for row in rows], _quadrature_bound(context)
-    m = _plain_moments(w, len(g) * n + 1, mode, context, moment_seq)
-    return argument_moments(P, g, n, m), Scalar.exact(0)
+        return None, generalized_moments(w, form.f, n, n, context=context), _quadrature_bound(context)
+    return g, _plain_moments(w, len(g) * n + 1, mode, context, moment_seq), Scalar.exact(0)
 
 
 def _polynomial_argument(form):

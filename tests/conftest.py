@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
 import sympy as sp
@@ -99,6 +100,58 @@ def _horner_in_i_pi(expr, value):
             raise ValueError(f"{value} is not in Q(i pi)")
         acc = acc * I_PI + Scalar.exact(Fraction(int(c.p), int(c.q)))
     return acc
+
+
+def exact_value(value):
+    """The exact rational value of a real Scalar or raw value: a float man 2^exp
+    (mpmath's _mpf_ tuple) as a Fraction, a rational as itself."""
+    value = getattr(value, "value", value)
+    if isinstance(value, (int, Fraction)):
+        return Fraction(value)
+    sign, man, exp, _ = value._mpf_
+    return (-1) ** sign * Fraction(man) * Fraction(2) ** exp
+
+
+def round_once(x, context):
+    """The Fraction x rounded once to the nearest float of the context, ties to
+    an even mantissa, without mpmath's rounding: |x| / 2^k lands in
+    [2^(prec-1), 2^prec) and Python's round() takes the nearest integer."""
+    x = Fraction(x)
+    if not x:
+        return context.mp.mpf(0)
+    prec = context.mp.prec
+    k = abs(x).numerator.bit_length() - abs(x).denominator.bit_length() - prec
+    while abs(x) / Fraction(2) ** k >= 2**prec:
+        k += 1
+    while abs(x) / Fraction(2) ** k < 2 ** (prec - 1):
+        k -= 1
+    man = round(abs(x) / Fraction(2) ** k)
+    return context.mp.ldexp(context.mp.mpf(man if x > 0 else -man), k)
+
+
+def horner(coeffs, x):
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def fraction_image(a, g, m):
+    """The right side of P(x) = integral of w(y) P(y) P(x + g(y)) dy, or of
+    P(x y) for g = None, by plain Fraction loops on P's coefficients a and
+    the moments m: mu_t = sum_j a_j m_(t+j), s_r = sum_t [y^t] g^r mu_t and
+    the x^i coefficient sum_k a_k C(k, i) s_(k-i) (a_k mu_k for P(x y))."""
+    n = len(a) - 1
+    width = n * (len(g) - 1 if g else 1) + 1
+    mu = [sum(a[j] * m[t + j] for j in range(n + 1)) for t in range(width)]
+    if g is None:
+        return [a[k] * mu[k] for k in range(n + 1)]
+    s, power = [], [Fraction(1)]
+    for _ in range(n + 1):
+        s.append(sum(c * mu[t] for t, c in enumerate(power)))
+        power = [sum(power[t - u] * g[u] for u in range(len(g)) if 0 <= t - u < len(power))
+                 for t in range(len(power) + len(g) - 1)]
+    return [sum(a[k] * comb(k, i) * s[k - i] for k in range(i, n + 1)) for i in range(n + 1)]
 
 
 def sympy_to_float(value, context):

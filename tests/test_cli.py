@@ -467,6 +467,25 @@ def test_rationals_past_the_int_string_limit_round_trip(ctx50):
     assert scalar_from_json(obj, "float", ctx50) == value.to_float(ctx50)
 
 
+@pytest.mark.parametrize("coefficient,message", [
+    ('{"num": "abc", "den": "1"}', "coefficient num must be a signed digit string, got 'abc'"),
+    ('{"re": "x", "im": "0"}',
+     """coefficient {'re': 'x', 'im': '0'} is neither {"num", "den"} digit strings """
+     """nor {"re", "im"} numbers"""),
+    ('{"num": "1", "den": "0"}', "coefficient {'num': '1', 'den': '0'} has a zero denominator"),
+    ('{"num": "1e999999999", "den": "1"}',
+     "coefficient num must be a signed digit string, got '1e999999999'"),
+], ids=["letters", "non-number-re", "zero-den", "huge-exponent"])
+def test_malformed_poly_file_numbers_exit_2(capsys, tmp_path, coefficient, message):
+    """num and den are read as signed digit strings only, as scalar_json
+    writes them: no traceback, no Fraction(1, 0), no 10^9-digit integer."""
+    poly_file = tmp_path / "bad.json"
+    poly_file.write_text(f"[{coefficient}]")
+    code, out, err = run_cli(capsys, "verify", "--preset", "laguerre", "--gamma", "1",
+                             "--poly-file", str(poly_file), "--mode", "exact")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 class TestOutputFormats:
     """Bytes of the csv and pretty formats for each kind of record."""
 

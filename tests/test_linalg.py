@@ -22,7 +22,7 @@ from orthoieq import (
 from orthoieq.errors import SingularSystemError
 from orthoieq.linalg import det_lu_flag, solve_full_pivot
 from orthoieq.numeric import IPiFraction, integer_rows, tolerance
-from orthoieq.polynomials import _dot
+from orthoieq.polynomials import _exact_dot
 
 from conftest import ENTRY
 
@@ -283,7 +283,7 @@ class TestNonRationalKernelsKeepTheirBits:
 @given(st.lists(st.tuples(ENTRY, ENTRY), min_size=1, max_size=12))
 def test_rational_dot_is_the_fraction_sum(pairs):
     a, b = [x for x, _ in pairs], [y for _, y in pairs]
-    got = _dot(a, b + [Fraction(1, 3)])  # entries of b past len(a) are not read
+    got = _exact_dot(a, b + [Fraction(1, 3)])  # entries of b past len(a) are not read
     assert type(got) is Fraction and got == sum(Fraction(x) * y for x, y in pairs)
 
 

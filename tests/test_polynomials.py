@@ -9,7 +9,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from orthoieq import (
+    Additive,
     DegenerateDegreeError,
+    Functional,
+    LinearShift,
+    Multiplicative,
     InsufficientMomentsError,
     ModeError,
     MomentSequence,
@@ -25,11 +29,12 @@ from orthoieq import (
     preset_weight,
     shifted_inner,
     solve_polynomial,
+    verify,
 )
 from orthoieq.numeric import I_PI
 from orthoieq.polynomials import argument_moments, binomial_image, power_table
 
-from conftest import ENTRY, from_sympy
+from conftest import ENTRY, exact_value, fraction_image, from_sympy, horner, round_once
 
 small_fraction = st.fractions(
     min_value=Fraction(-9), max_value=Fraction(9), max_denominator=7
@@ -224,9 +229,13 @@ class TestIntegralImageAgainstNestedRoute:
             image = integral_image(P, m_exact, a, b).coeffs
             assert image == tuple(nested_integral_image(P, m_exact, a, b))
             assert all(c.is_rational() for c in image)
+            # float: s_k and then each image coefficient are the exact values
+            # of their float inputs rounded once
             Pf = Polynomial([c.to_float(ctx50) for c in P.coeffs])
-            got = [c.value for c in integral_image(Pf, m_float, a, b).coeffs]
-            assert got == [c.value for c in nested_integral_image(Pf, m_float, a, b)]
+            af, mf = [exact_value(c) for c in Pf.coeffs], [exact_value(v) for v in m_float.values]
+            s = [round_once(v, ctx50) for v in fraction_argument(af, [a, b], n, mf)]
+            want = fraction_binomial(af, [exact_value(v) for v in s])
+            assert_identical(integral_image(Pf, m_float, a, b).coeffs, rounded(want, ctx50))
 
 
 # ---------------------------------------------------------------------------
@@ -311,6 +320,67 @@ def check_every_contraction(P, Q, m, samples, shift):
     assert_identical(multiplicative_image(P, m).coeffs, scalar_multiplicative_image(P, m))
 
 
+def rounded(values, context):
+    """Fractions rounded once to the context, as Scalars."""
+    return [Scalar(round_once(v, context), context.precision) for v in values]
+
+
+def fraction_convolve(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def fraction_power_rows(g, kmax, seq, width):
+    """rows[k][j] = sum_t [x^t] g^k seq[t+j], k = 0..kmax, on Fractions."""
+    rows, power = [], [Fraction(1)]
+    for _ in range(kmax + 1):
+        rows.append([sum(c * seq[t + j] for t, c in enumerate(power)) for j in range(width)])
+        power = fraction_convolve(power, g)
+    return rows
+
+
+def fraction_argument(a, g, kmax, m):
+    """s_k = <g^k P> on Fractions: mu_t = sum_j a_j m_(t+j), then the power rows."""
+    mu = [sum(c * m[t + j] for j, c in enumerate(a)) for t in range((len(g) - 1) * kmax + 1)]
+    return [row[0] for row in fraction_power_rows(g, kmax, mu, 1)]
+
+
+def fraction_binomial(a, s):
+    return [sum(a[k] * comb(k, i) * s[k - i] for k in range(i, len(a))) for i in range(len(a))]
+
+
+def check_rounded_once(P, Q, m, samples, shift, context):
+    """Each real contraction with a float input is the plain Fraction
+    computation on the exact values of its inputs, rounded once to the
+    context: value, type and precision. P * Q still rounds in Scalar order."""
+    n, X = P.degree, exact_value
+    a, mv = [X(c) for c in P.coeffs], [X(m[t]) for t in range(len(m))]
+    assert_identical([P.eval(x) for x in samples],
+                     rounded([sum(c * X(x) ** i for i, c in enumerate(a)) for x in samples],
+                             context))
+    assert_identical((P * Q).coeffs, scalar_convolve(P.coeffs, Q.coeffs))
+    assert_identical([inner_moment(P, k, m) for k in range(n + 1)],
+                     rounded([sum(c * mv[k + j] for j, c in enumerate(a)) for k in range(n + 1)],
+                             context))
+    for g in ([0, 1], shift, [1, Fraction(-1, 3), 3]):
+        gv = [X(c) for c in g]
+        s = argument_moments(P, g, n, m)
+        assert_identical(s, rounded(fraction_argument(a, gv, n, mv), context))
+        assert_identical(binomial_image(P, s).coeffs,
+                         rounded(fraction_binomial(a, [X(v) for v in s]), context))
+        width = len(m) - (len(g) - 1) * n
+        table = power_table(g, n, m, width)
+        assert table[0] == [m[j] for j in range(width)]
+        for got, want in zip(table[1:], fraction_power_rows(gv, n, mv, width)[1:]):
+            assert_identical(got, rounded(want, context))
+    mu = [sum(c * mv[k + j] for j, c in enumerate(a)) for k in range(n + 1)]
+    assert_identical(multiplicative_image(P, m).coeffs,
+                     rounded([c * v for c, v in zip(a, mu)], context))
+
+
 class TestRawContractionsMatchScalarArithmetic:
     SHIFT = [Fraction(3, 2), 2]
     SAMPLES = [Fraction(0), Fraction(7, 3), Fraction(-5, 11)]
@@ -321,10 +391,14 @@ class TestRawContractionsMatchScalarArithmetic:
         Q = Polynomial([Fraction(1, 3), -2, 0, 5])
         check_every_contraction(P, Q, m, [Scalar.exact(x) for x in self.SAMPLES], self.SHIFT)
         check_every_contraction(Q, P, m, [Scalar.exact(x) for x in self.SAMPLES], self.SHIFT)
-        # a float g against exact moments: row 0 stays exact, the others are float
+        # a float g against exact moments: row 0 stays exact, the others are
+        # the exact sums rounded once
         g = [ctx50.scalar(Fraction(1, 3)), ctx50.scalar(2)]
-        for got, want in zip(power_table(g, 6, m, 7), scalar_power_table(g, 6, m, 7)):
-            assert_identical(got, want)
+        table = power_table(g, 6, m, 7)
+        assert_identical(table[0], [m[j] for j in range(7)])
+        want = fraction_power_rows([exact_value(c) for c in g], 6, [v.value for v in m.values], 7)
+        for got, row in zip(table[1:], want[1:]):
+            assert_identical(got, rounded(row, ctx50))
 
     @pytest.mark.parametrize("winding", [0, 1])
     def test_exact_contour_values(self, winding):
@@ -343,17 +417,17 @@ class TestRawContractionsMatchScalarArithmetic:
         P = Polynomial([c.to_float(ctx) for c in solve_polynomial(moments(w, 11, mode="exact"), 5).coeffs])
         Q = Polynomial([ctx.scalar(Fraction(1, 3)), ctx.scalar(-2), ctx.scalar(5)])
         samples = [ctx.scalar(x) for x in self.SAMPLES]
-        check_every_contraction(P, Q, m, samples, self.SHIFT)
-        check_every_contraction(P, Q, m, samples, [ctx.scalar(Fraction(3, 2)), ctx.scalar(2)])
+        check_rounded_once(P, Q, m, samples, self.SHIFT, ctx)
+        check_rounded_once(P, Q, m, samples, [ctx.scalar(Fraction(3, 2)), ctx.scalar(2)], ctx)
 
     def test_exact_polynomial_against_float_moments(self, ctx50):
-        # denominators that are not powers of 2, so rounding a_k before or
-        # after forming a_k C(k, i) gives different bits
+        # denominators that are not powers of 2: the exact a_k meet the float
+        # moments as themselves, not rounded first
         P = Polynomial([Fraction(k + 1, 3 * k + 7) for k in range(7)])
         m = moments(preset_weight("jacobi-add", p=3, q=2), 19, mode="float", context=ctx50)
         Q = Polynomial([ctx50.scalar(Fraction(1, 3)), ctx50.scalar(-2), ctx50.scalar(5)])
-        check_every_contraction(P, Q, m, [ctx50.scalar(x) for x in self.SAMPLES], self.SHIFT)
-        check_every_contraction(Q, P, m, [Scalar.exact(x) for x in self.SAMPLES], self.SHIFT)
+        check_rounded_once(P, Q, m, [ctx50.scalar(x) for x in self.SAMPLES], self.SHIFT, ctx50)
+        check_rounded_once(Q, P, m, [Scalar.exact(x) for x in self.SAMPLES], self.SHIFT, ctx50)
 
 
 # negative non-integer shifts, with small and with over-2^64 denominators
@@ -391,6 +465,66 @@ def test_rational_contractions_match_scalar_arithmetic(data, n, a, b, zero_image
     if zero_image_lead:
         for g in ([0, 1], [a, b]):
             assert binomial_image(P, argument_moments(P, g, n, m)).leading.is_zero()
+
+
+CTX50 = PrecisionContext(50)
+
+
+def nonzero_dyadic(context):
+    """Nonzero floats of the context as Scalars: mantissas of up to p bits,
+    either sign, exponents spread over +-2000 bits."""
+    mp, bits = context.mp, 2 ** context.mp.prec - 1
+    mantissa = st.integers(1, bits).flatmap(lambda man: st.sampled_from([man, -man]))
+    return st.builds(lambda man, exp: Scalar(mp.ldexp(mp.mpf(man), exp), context.precision),
+                     mantissa, st.integers(-2000, 2000))
+
+
+NONZERO_DYADIC = nonzero_dyadic(CTX50)
+DYADIC = st.one_of(st.just(CTX50.zero()), NONZERO_DYADIC)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.data(),
+    n=st.integers(1, 5),
+    rational_shift=st.booleans(),
+    zero_image_lead=st.booleans(),
+)
+def test_dyadic_contractions_and_residuals_round_once(data, n, rational_shift, zero_image_lead):
+    """Random float rows: every real contraction, and every verify residual,
+    is the plain Fraction computation on the exact values of the float
+    inputs rounded once to p, bit for bit. With zero_image_lead, a_0 is the
+    exact rational that makes <P> = 0 (a row mixing a Fraction with floats),
+    so every image's leading coefficient a_n s_0 vanishes."""
+    ctx = CTX50
+    coeffs = data.draw(st.lists(DYADIC, min_size=n, max_size=n)) + [data.draw(NONZERO_DYADIC)]
+    m = data.draw(st.lists(DYADIC, min_size=3 * n + 1, max_size=3 * n + 4))
+    if zero_image_lead:
+        m[0] = data.draw(NONZERO_DYADIC)
+        coeffs[0] = Scalar.exact(-sum(exact_value(coeffs[j]) * exact_value(m[j])
+                                      for j in range(1, n + 1)) / exact_value(m[0]))
+    P = Polynomial(coeffs)
+    Q = Polynomial(data.draw(st.lists(DYADIC, max_size=3)) + [data.draw(NONZERO_DYADIC)])
+    samples = data.draw(st.lists(DYADIC, min_size=1, max_size=3))
+    if rational_shift:
+        shift = [data.draw(NEGATIVE_SHIFT), data.draw(NEGATIVE_SHIFT)]
+    else:
+        shift = [data.draw(DYADIC), data.draw(NONZERO_DYADIC)]
+    check_rounded_once(P, Q, m, samples, shift, ctx)
+    if zero_image_lead:
+        for g in ([0, 1], shift):
+            assert binomial_image(P, argument_moments(P, g, n, m)).leading.is_zero()
+
+    a, mv, xs = ([exact_value(v) for v in row] for row in (P.coeffs, m, samples))
+    scale = max([ctx.mp.mpf(1)] + [round_once(abs(horner(a, x)), ctx) for x in xs])
+    w = preset_weight("laguerre", gamma=1)  # any real weight: the moments are m
+    for form, g in [(Additive(), [0, 1]), (LinearShift(*shift), shift),
+                    (Functional("x^2+x"), [0, 1, 1]), (Multiplicative(range(n)), None)]:
+        report = verify(P, w, form, samples, context=ctx, moment_seq=m)
+        image = fraction_image(a, g and [exact_value(c) for c in g], mv)
+        want = [round_once(abs(horner(a, x) - horner(image, x)), ctx) for x in xs]
+        assert [(r.precision, r.value) for r in report.residuals] == [(50, v) for v in want]
+        assert report.passed == (max(want) <= ctx.mp.mpf(10) ** -40 * scale)
 
 
 class TestMixedFloatPrecisions:
