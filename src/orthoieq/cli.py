@@ -88,7 +88,8 @@ def _decimal(x, mp, digits):
 
 def scalar_from_json(obj, mode: str, context: PrecisionContext) -> Scalar:
     """A coefficient as scalar_json writes it: {"num", "den"} signed digit
-    strings or {"re", "im"} numbers. Anything else raises ConfigurationError."""
+    strings or {"re", "im"} numbers, a real float when im is zero. Anything
+    else raises ConfigurationError."""
     if isinstance(obj, dict) and "num" in obj:
         num, den = _json_integer(obj, "num"), _json_integer(obj, "den")
         if not den:
@@ -97,7 +98,8 @@ def scalar_from_json(obj, mode: str, context: PrecisionContext) -> Scalar:
         return value if mode == "exact" else value.to_float(context)
     mp = context.mp
     try:
-        return Scalar(mp.mpc(mp.mpf(obj["re"]), mp.mpf(obj["im"])), context.precision)
+        re, im = mp.mpf(obj["re"]), mp.mpf(obj["im"])
+        return Scalar(mp.mpc(re, im) if im else re, context.precision)
     except (KeyError, TypeError, ValueError):
         raise ConfigurationError(
             f'coefficient {obj!r} is neither {{"num", "den"}} digit strings '

@@ -24,7 +24,7 @@ from .errors import (
 )
 from .numeric import PrecisionContext, Scalar, scalar_eq, tolerance
 from .polynomials import Polynomial, power_table
-from .quadrature import _EVAL_ERRORS, working_context
+from .quadrature import _EVAL_ERRORS
 from .weights import Weight, contour_weight
 
 
@@ -178,7 +178,7 @@ def generalized_moments(w: Weight, f, kmax: int, jmax: int, *,
 
     entries = w.integrals(
         context, [(k, j) for k in range(kmax + 1) for j in range(width)],
-        shared=ex.compile_float(f, working_context(context.precision)),
+        shared=f,
         wrap_error=entry_error,
     )
     values = [value for value, _err in entries]

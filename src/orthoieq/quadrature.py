@@ -18,19 +18,30 @@ One node set serves every table of a weight at one precision. The mapped
 abscissae and the weight data of each piece and level are kept in a memo
 the caller owns, the Weight's ``nodes``; normalize, moments, generalized
 moments, the functional solve and verify, and check_arbitrary_f then
-evaluate the weight once per node between them. The memo dies with its
-weight: there is no module-level cache. The arithmetic and the order of
-terms are those of a fresh node set, so every value, estimate and error
-text is the same. s, which belongs to the call, and the running products
-are formed per call.
+evaluate the weight once per node between them. The node set keeps each
+finished entry too, under the text of s and (k, j), so m_0 after
+normalize and the <f^k x^j> table that generalized moments, the
+functional solve and its verify all ask for are summed once per weight and
+precision. An s that is a callable, such as f[P(x)], belongs to its call:
+its entries are not kept, and neither is a failing entry. The memo dies
+with its weight: there is no module-level cache. The arithmetic and the
+order of terms are those of a fresh node set, so every value, estimate and
+error text is the same. s and the running products are formed per call.
 
 Each entry runs mpmath's level loop (``TanhSinh.sum_next`` arithmetic,
 ``estimate_error``, 20 guard bits, at most 8 levels) and stops at its own
-level: at mpmath's eps/8 target, or as soon as it holds the digits the
-result keeps, p+10 of them by both mpmath's estimate and the last level
-step. Every value and reported error estimate equals, to the p digits
-returned, what a separate ``quadts(..., error=True, maxdegree=8)`` call
-gives for that entry.
+level: at mpmath's eps/8 target, or as soon as it holds p+10 digits of its
+scale by both mpmath's estimate and the last level step. The scale is
+max(|S_k|, A_k), A_k being the level sums of the absolute node values,
+about the integral of |integrand|: the condition number of a sum is
+sum |x_i| / |sum x_i| (Higham, Accuracy and Stability of Numerical
+Algorithms, 2nd ed., 4.2). A_k equals |S_k| bit for bit when the
+integrand is one-signed, and is not summed then; complex entries take
+|S_k|. So every value and reported error estimate of a one-signed entry
+equals, to the p digits returned, what a separate
+``quadts(..., error=True, maxdegree=8)`` call gives for that entry; an
+entry that cancels, such as <x^k f[P]> for k >= 1, stops within
+10^-(p+10) of its integrand's scale, not of its own small value.
 
 Integration runs at 2p+10 digits internally and returns values at p.
 Reported error estimates are floored at the cancellation limit of the
@@ -69,13 +80,15 @@ def integrate_expression(tree, interval, context, factors=((0, 0),), *, shared=N
 
     Each factor is a pair (k, j) of non-negative integers standing for the
     multiplier ``shared(x)^k * x^j``; (0, 0) is the tree alone. ``shared`` is
-    evaluated at most once per node, and only for entries with k >= 1.
-    Compile it against ``working_context(p)``.
+    an expression tree, or a callable compiled against ``working_context(p)``;
+    it is evaluated at most once per node, and only for entries with k >= 1.
 
     ``memo`` is a dict the caller owns (``Weight.nodes``). The node data of
     this tree, interval and precision are read from it, or evaluated once
     and stored there, so later calls with the same memo do not evaluate the
-    tree again.
+    tree again. The node set keeps every finished entry too, under the text
+    of a ``shared`` tree (no text for k = 0) and (k, j), so a later call
+    sums it no more; the entries of a callable ``shared`` belong to the call.
 
     Returns one (value, error_estimate) pair of Scalars at the context
     precision per factor, each equal to the p digits a separate ``quadts``
@@ -85,7 +98,7 @@ def integrate_expression(tree, interval, context, factors=((0, 0),), *, shared=N
     10^min(30, p//2) and its last level step still exceeds the target relative
     to it. Of several failing entries the lowest index is raised, as a loop
     over the entries would; ``wrap_error(index, exc)`` replaces a
-    QuadratureError when given.
+    QuadratureError when given. A failing entry is never kept.
     """
     p = context.precision
     work = working_context(p)
@@ -98,19 +111,26 @@ def integrate_expression(tree, interval, context, factors=((0, 0),), *, shared=N
         node_set = _NodeSet(tree, _split_pieces(interval, endpoint_exponents, work), work)
         if memo is not None:
             memo[key] = node_set
+    kept = node_set.entries
+    text = None if shared is None or callable(shared) else ex.to_text(shared)
+    # an entry's key; shared is not read for k = 0, and a callable has no text
+    keys = [None if k and text is None else (text if k else None, k, j) for k, j in factors]
+    todo = [i for i, entry in enumerate(keys) if entry not in kept]
+    if text is not None and todo:
+        shared = ex.compile_float(shared, work)
     keep = work.mpf(10) ** -(p + _KEPT_DIGITS)
-    count = len(factors)
-    totals = [work.mpf(0)] * count
-    ests = [work.mpf(0)] * count
-    steps = [work.mpf(0)] * count
+    totals = {i: work.mpf(0) for i in todo}
+    ests = dict(totals)
+    steps = dict(totals)
     failed = None  # (index, exception) of the lowest-index failure so far
     for piece in range(len(node_set.pieces)):
-        live = factors if failed is None else factors[:failed[0]]
-        results, failure = _tanh_sinh(node_set, piece, live, shared, work, keep)
+        live = todo if failed is None else [i for i in todo if i < failed[0]]
+        results, failure = _tanh_sinh(node_set, piece, [factors[i] for i in live], shared,
+                                      work, keep)
         if failure is not None:
             index, exc = failure
-            failed = (index, _evaluation_error(description, exc))
-        for i, (value, err, step) in enumerate(results):
+            failed = (live[index], _evaluation_error(description, exc))
+        for i, (value, err, step) in zip(live, results):
             if not work.isfinite(abs(value)):
                 failed = (i, IntegrabilityError(f"integral of {description} is not finite"))
                 break
@@ -122,7 +142,10 @@ def integrate_expression(tree, interval, context, factors=((0, 0),), *, shared=N
     ceiling = work.mpf(10) ** min(30, p // 2)
     target = work.convert(tolerance(context, 10))
     out = []
-    for i in range(count if failed is None else failed[0]):
+    for i in range(len(factors) if failed is None else failed[0]):
+        if keys[i] in kept:
+            out.append(kept[keys[i]])
+            continue
         est = max(ests[i], floor)
         mag = abs(totals[i])
         if mag > ceiling and steps[i] > target * mag:
@@ -137,6 +160,8 @@ def integrate_expression(tree, interval, context, factors=((0, 0),), *, shared=N
             ))
             break
         out.append((_round_to(totals[i], context), _round_to(est, context)))
+        if keys[i] is not None:
+            kept[keys[i]] = out[-1]
     if failed is not None:
         index, exc = failed
         if wrap_error is not None and isinstance(exc, QuadratureError):
@@ -158,8 +183,10 @@ class _NodeSet:
 
     ``pieces`` are the finite pieces of the interval (_split_pieces);
     ``level(piece, degree, prec)`` gives that tanh-sinh level's _Nodes,
-    evaluating the tree on them the first time it is asked for. A memo
-    keeps the set for every later integral of the same weight.
+    evaluating the tree on them the first time it is asked for. ``entries``
+    maps an entry's key (integrate_expression) to its finished (value,
+    error estimate). A memo keeps the set for every later integral of the
+    same weight.
     """
 
     def __init__(self, tree, pieces, work):
@@ -168,6 +195,7 @@ class _NodeSet:
         self.work = work
         self.weight = None  # the compiled tree, made when a level is first evaluated
         self.levels = {}
+        self.entries = {}
 
     def level(self, piece, degree, prec):
         nodes = self.levels.get((piece, degree))
@@ -241,7 +269,9 @@ class _Level:
         return powers[j - 1]
 
     def sum(self, k, j):
-        """The entry's node sum, what sum_next's ``fdot`` gives on this level."""
+        """The entry's node sum, what sum_next's ``fdot`` gives on this level,
+        and the sum of the absolute node values: None for a complex sum, and
+        |sum| itself, with no second sum, when the values are one-signed."""
         work = self.work
         prec = work.prec
         scaled = self.scaled
@@ -259,8 +289,12 @@ class _Level:
         if any(len(v) == 2 for v in values):
             real = [v[0] if len(v) == 2 else v for v in values]
             imag = [v[1] for v in values if len(v) == 2]
-            return work.make_mpc((mpf_sum(real, prec, "n"), mpf_sum(imag, prec, "n")))
-        return work.make_mpf(mpf_sum(values, prec, "n"))
+            return work.make_mpc((mpf_sum(real, prec, "n"), mpf_sum(imag, prec, "n"))), None
+        total = work.make_mpf(mpf_sum(values, prec, "n"))
+        sign = values[0][0] if values else 0
+        if all(v[0] == sign for v in values):
+            return total, abs(total)
+        return total, work.make_mpf(mpf_sum(values, prec, "n", True))
 
 
 def _raw(value):
@@ -283,18 +317,22 @@ def _tanh_sinh(node_set, piece, factors, shared, work, keep):
     Returns ([(value, err, step), ...], failure): one triple for each entry
     below the failing one, step being |S_k - S_(k-1)| at its last level k,
     and failure = (index, exception) or None. An entry stops at mpmath's
-    eps/8 target, or once its estimate is within ``keep`` of |S_k| and its
-    squared step within ``keep`` of |S_k|^2: tanh-sinh roughly doubles the
-    correct digits per level, so S_k then holds -log10(keep) of them.
-    Entries run in index order on each level, so the first to fail is the
-    one a loop over separate quadts calls would have reached first; a
-    failure of the node map or the weight belongs to the lowest-index entry
-    still active.
+    eps/8 target, or once its estimate is within ``keep`` of its scale and
+    its squared step within ``keep`` of the scale squared: tanh-sinh roughly
+    doubles the correct digits per level, so S_k then holds -log10(keep)
+    digits of the scale. The scale of a real entry is max(|S_k|, A_k), A_k
+    being the same level sums of the absolute node values, about the
+    integral of |integrand|; it is |S_k| for a one-signed entry, bit for bit,
+    and for a complex one. Entries run in index order on each level, so the
+    first to fail is the one a loop over separate quadts calls would have
+    reached first; a failure of the node map or the weight belongs to the
+    lowest-index entry still active.
     """
     rule = work._tanh_sinh
     prec = work.prec
     epsilon = work.eps / 8
     levels = [[] for _ in factors]  # per entry: the level sums so far
+    sizes = [[] for _ in factors]  # per entry: the sums A_k, None once a sum is complex
     errs = [work.zero] * len(factors)
     active = list(range(len(factors)))
     failure = None
@@ -302,12 +340,11 @@ def _tanh_sinh(node_set, piece, factors, shared, work, keep):
     try:
         for degree in range(1, _MAX_DEGREE + 1):
             level = _Level(work, node_set.level(piece, degree, prec), shared)
-            # TanhSinh.sum_next: the previous level's sum plus this level's new nodes
             h = work.mpf(2) ** (-degree)
             still = []
             for i in active:
                 try:
-                    new = level.sum(*factors[i])
+                    new, absolute = level.sum(*factors[i])
                 except _EVAL_ERRORS as exc:
                     failure = (i, exc)
                     break
@@ -315,12 +352,16 @@ def _tanh_sinh(node_set, piece, factors, shared, work, keep):
                     failure = (i, level.failure)
                     break
                 results = levels[i]
-                S = results[-1] / (h * 2) if results else work.zero
-                S += new
-                results.append(h * S)
+                results.append(_next_sum(results, new, h, work))
+                if absolute is None:
+                    sizes[i] = None  # a complex entry keeps the |S_k| scale
+                sums = sizes[i]
+                if sums is not None:
+                    sums.append(_next_sum(sums, absolute, h, work))
                 if degree > 1:
                     errs[i] = rule.estimate_error(results, prec, epsilon)
-                    if errs[i] <= epsilon or _holds_digits(results, errs[i], keep):
+                    scale = abs(results[-1]) if sums is None else max(abs(results[-1]), sums[-1])
+                    if errs[i] <= epsilon or _holds_digits(results, errs[i], keep, scale):
                         continue
                 still.append(i)
             active = still
@@ -336,10 +377,16 @@ def _tanh_sinh(node_set, piece, factors, shared, work, keep):
     return out, failure
 
 
-def _holds_digits(results, err, keep):
-    """Whether the last level sum holds -log10(keep) correct digits."""
-    size = abs(results[-1])
-    return err <= keep * size and abs(results[-1] - results[-2]) ** 2 <= keep * size**2
+def _next_sum(sums, new, h, work):
+    """TanhSinh.sum_next: the previous level's sum plus this level's new nodes."""
+    S = sums[-1] / (h * 2) if sums else work.zero
+    S += new
+    return h * S
+
+
+def _holds_digits(results, err, keep, scale):
+    """Whether the last level sum holds -log10(keep) correct digits of scale."""
+    return err <= keep * scale and abs(results[-1] - results[-2]) ** 2 <= keep * scale**2
 
 
 def _round_to(value, context):

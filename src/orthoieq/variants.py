@@ -245,11 +245,17 @@ def _verdict(deviations, qbound, context, scales=lambda: ()):
     deviation must be zero. A float one passes at or below
     max(10 qbound, 10^(10-p) max(1, scales)); scales is called only then.
     """
-    worst = deviations[0]
+    worst, size = deviations[0], None  # size: worst.magnitude(), once it is needed
     for d in deviations[1:]:
-        exact = d.is_rational() and worst.is_rational()
-        if abs(d.value) > abs(worst.value) if exact else d.magnitude() > worst.magnitude():
-            worst = d
+        if d.is_rational() and worst.is_rational():
+            if abs(d.value) > abs(worst.value):
+                worst, size = d, None
+            continue
+        if size is None:
+            size = worst.magnitude()
+        magnitude = d.magnitude()
+        if magnitude > size:
+            worst, size = d, magnitude
     if worst.is_exact:
         return worst, worst.is_zero()
     mp = context.mp

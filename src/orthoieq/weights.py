@@ -279,9 +279,11 @@ class Weight:
     ``nodes`` is the weight's tanh-sinh node data, one node set per
     precision (quadrature.integrate_expression's memo): every integral of
     the weight at that precision evaluates the body at each node once,
-    whichever table asks. It is filled as integrals run, ``normalize``
-    hands it on to the normalized weight, and it dies with the weight. It
-    takes no part in ``==``, ``hash`` or ``repr``.
+    whichever table asks, and each entry <f^k x^j> of a plain or
+    generalized table is summed once, then read from the node set. It is
+    filled as integrals run, ``normalize`` hands it on to the normalized
+    weight, and it dies with the weight. It takes no part in ``==``,
+    ``hash`` or ``repr``.
     """
 
     interval: Interval
@@ -322,7 +324,9 @@ class Weight:
 
     def integrals(self, context: PrecisionContext, factors, *, shared=None, wrap_error=None):
         """(value, error estimate) of <shared^k x^j> per factor (k, j), all on one
-        node set (quadrature.integrate_expression), divided by the divisor."""
+        node set (quadrature.integrate_expression), divided by the divisor.
+        ``shared`` is an expression tree, whose entries the node set keeps,
+        or a callable, whose entries belong to the call."""
         norm = self.divisor(context)
         entries = integrate_expression(
             self.expression(), self.interval, context, factors, shared=shared,

@@ -15,7 +15,11 @@ from orthoieq import (
     PrecisionContext,
     Scalar,
     contour_weight,
+    moments,
+    preset_weight,
     solve_functional,
+    solve_polynomial,
+    verify,
 )
 from orthoieq.cli import (
     _form_from_args,
@@ -195,6 +199,22 @@ class TestVerifyCommand:
         )
         assert code == 4
         assert first_record(out2)["pass"] is False
+
+    def test_float_record_gives_the_in_process_residuals(self, capsys, tmp_path):
+        # a float record's coefficients are real: read back, they take the
+        # exact-residual route of the float verify that solved them
+        weight = ["--preset", "jacobi-add", "--p", "3", "--q", "2"]
+        _, out, _ = run_cli(capsys, "poly", *weight, "-n", "8")
+        poly_file = tmp_path / "add8.json"
+        poly_file.write_text(out.splitlines()[0])
+        code, out2, _ = run_cli(capsys, "verify", *weight, "--poly-file", str(poly_file))
+        ctx = PrecisionContext(50)
+        w = preset_weight("jacobi-add", p=3, q=2)
+        P = solve_polynomial(moments(w, 17, context=ctx), 8, context=ctx)
+        report = verify(P, w, Additive(), context=ctx)
+        record = first_record(out2)
+        assert record["residuals"] == [scalar_json(r, ctx) for r in report.residuals]
+        assert record["pass"] is report.passed is True and code == 0
 
     def test_arbitrary_f_identity(self, capsys, tmp_path):
         _, out, _ = run_cli(

@@ -14,6 +14,7 @@ import dataclasses
 import math
 import types
 import weakref
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -233,13 +234,17 @@ def test_arbitrary_f_values_equal_per_entry_quadts(p):
 # stopping: at the digits the result keeps, not at the working precision
 
 
-def _count_weight_evaluations(monkeypatch):
+def _count_weight_evaluations(monkeypatch, text):
     """Patch the integrator's compile step; the returned list's one entry
-    counts the compiled weights' evaluations from then on."""
+    counts the evaluations of the compiled weight ``text`` from then on (the
+    integrator compiles a shared f through the same step)."""
     count = [0]
+    body = ex.to_text(ex.parse_expression(text))
 
     def counting_compile(tree, mp):
         weight = ex.compile_float(tree, mp)
+        if ex.to_text(tree) != body:
+            return weight
 
         def counted(x):
             count[0] += 1
@@ -256,7 +261,7 @@ def test_entries_stop_once_they_hold_the_returned_digits(ctx50, monkeypatch):
     # every entry holds p+10 digits at level 7 (1311 nodes on the half line);
     # running on to mpmath's eps/8 target would take level 8, 2623 nodes.
     # normalize evaluates those levels and moments reuses them.
-    nodes = _count_weight_evaluations(monkeypatch)
+    nodes = _count_weight_evaluations(monkeypatch, "exp(-x)*(1+x)")
     w = normalize(parse_weight("exp(-x)*(1+x)", Interval(0, "inf")), ctx50)
     m = moments(w, 9, context=ctx50)
     assert 0 < nodes[0] <= 1311
@@ -351,15 +356,15 @@ def _functional_pipeline(weight, ctx, count, n):
 @pytest.mark.parametrize("text,interval,count,n,solved,checked", [
     # levels 1..7 of one piece, 1311 nodes, serve every table
     ("exp(-x)*(1+x)", Interval(0, "inf"), 9, 1, 1311, 1311),
-    # levels 1..6, 327 nodes, serve all but check_arbitrary_f, which goes
-    # on to level 7 and evaluates only its 328 new nodes
-    ("x^(3/2)*(1-x)", Interval(0, 1), 21, 2, 327, 655),
+    # levels 1..6, 327 nodes, serve every table too: the <x^k f[P]> rows of
+    # check_arbitrary_f cancel, and stop at their integrand's scale by level 6
+    ("x^(3/2)*(1-x)", Interval(0, 1), 21, 2, 327, 327),
 ])
 def test_one_weight_evaluates_each_node_once(text, interval, count, n, solved, checked,
                                              ctx50, monkeypatch):
     # normalize, the plain moments, the sqrt(x) table, solve_functional and
     # its verify, then check_arbitrary_f: each integral of w reuses the nodes
-    nodes = _count_weight_evaluations(monkeypatch)
+    nodes = _count_weight_evaluations(monkeypatch, text)
     w = normalize(parse_weight(text, interval), ctx50)
     moments(w, count, context=ctx50)
     generalized_moments(w, "sqrt(x)", n, n, context=ctx50)
@@ -385,6 +390,14 @@ def test_reused_nodes_give_the_bits_of_a_fresh_weight(text, interval, count, n, 
     assert len(w.nodes) == 1
     # every table on a weight of its own, whose node set is new
     assert shared == _functional_pipeline(lambda: _fresh(text, interval, ctx50), ctx50, count, n)
+    assert shared == _functional_pipeline(lambda: w, ctx50, count, n)
+    # the node set keeps the plain and sqrt(x) entries, and no f[P] row,
+    # whose shared function belongs to its call
+    [node_set] = w.nodes.values()
+    assert set(node_set.entries) == ({(None, 0, j) for j in range(max(count, n + 1))}
+                                     | {("sqrt(x)", k, j) for k in range(1, n + 1)
+                                        for j in range(n + 1)})
+    node_set.entries.clear()  # kept entries are the bits of entries summed again
     assert shared == _functional_pipeline(lambda: w, ctx50, count, n)
     longer = moments(w, count + 3, context=ctx50)
     want = moments(_fresh(text, interval, ctx50), count + 3, context=ctx50)
@@ -446,6 +459,8 @@ def test_repeated_failures_keep_their_text(call, text, interval, ending, index, 
     assert ending in fresh[1] and fresh[2] == index
     assert _error_text(lambda: call(w, ctx50)) == fresh
     assert _error_text(lambda: call(w, ctx50)) == fresh
+    [node_set] = w.nodes.values()
+    assert len(node_set.entries) == (index or 0)  # the entries before the failing one
 
 
 def test_a_copy_with_another_body_shares_the_memo_not_the_nodes(ctx50):
@@ -467,3 +482,122 @@ def test_node_data_die_with_their_weight(ctx50):
     alive = weakref.ref(node_set)
     del node_set, w  # the parsed weight went with normalize's argument
     assert alive() is None  # freed at once: no reference cycle holds the nodes
+
+
+# ---------------------------------------------------------------------------
+# the stop scale: |S_k| for one-signed entries, the integrand's scale for
+# cancelling ones
+
+
+def _abs_rule_entries(w, ctx, factors, shared=None):
+    """(value, estimate) per factor, and the levels each entry ran on all
+    pieces, by the integrator's level loop with the rule that stops an entry
+    once it holds p+10 digits of |S_k| alone, one entry at a time."""
+    p = ctx.precision
+    work = working_context(p)
+    node_set = quadrature._NodeSet(w.expression(), quadrature._split_pieces(
+        w.interval, w.endpoint_exponents, work), work)
+    keep = work.mpf(10) ** -(p + 10)
+    epsilon = work.eps / 8
+    out, levels = [], []
+    for k, j in factors:
+        total, est, count = work.mpf(0), work.mpf(0), 0
+        for piece in range(len(node_set.pieces)):
+            prec = work.prec
+            work.prec += quadrature._GUARD_BITS
+            results, err = [], work.zero
+            for degree in range(1, quadrature._MAX_DEGREE + 1):
+                level = quadrature._Level(work, node_set.level(piece, degree, prec), shared)
+                new, _absolute = level.sum(k, j)
+                h = work.mpf(2) ** (-degree)
+                S = results[-1] / (h * 2) if results else work.zero
+                S += new
+                results.append(h * S)
+                count += 1
+                if degree > 1:
+                    err = work._tanh_sinh.estimate_error(results, prec, epsilon)
+                    size = abs(results[-1])
+                    if err <= epsilon or (err <= keep * size
+                                          and abs(results[-1] - results[-2]) ** 2
+                                          <= keep * size**2):
+                        break
+            work.prec = prec
+            total += +results[-1]  # each piece rounded to the working precision
+            est += abs(err)
+        est = max(est, quadrature._error_floor(work, work.dps))
+        out.append((quadrature._round_to(total, ctx), quadrature._round_to(est, ctx)))
+        levels.append(count)
+    return out, levels
+
+
+def _count_sums(monkeypatch):
+    """Patch _Level.sum; the returned Counter counts its calls per (k, j)."""
+    calls = Counter()
+    summed = quadrature._Level.sum
+
+    def counted(self, k, j):
+        calls[k, j] += 1
+        return summed(self, k, j)
+
+    monkeypatch.setattr(quadrature._Level, "sum", counted)
+    return calls
+
+
+@pytest.mark.parametrize("text,interval,count,n", [
+    ("x^(3/2)*(1-x)", Interval(0, 1), 21, 2),
+    ("exp(-x)*(1+x)", Interval(0, "inf"), 9, 1),
+    ("exp(-(x^2))", Interval("-inf", "inf"), 5, 1),  # x^j is one-signed on each piece
+])
+def test_one_signed_entries_stop_where_the_abs_rule_stops(text, interval, count, n, ctx50,
+                                                          monkeypatch):
+    w = _fresh(text, interval, ctx50)
+    plain = [(0, j) for j in range(count)]
+    exp_table = [(k, j) for k in range(n + 1) for j in range(n + 1)]  # exp(x/3) > 0
+    f = ex.parse_expression("exp(x/3)")
+    for factors, tree in ((plain, None), (exp_table, f)):
+        shared = None if tree is None else ex.compile_float(tree, working_context(50))
+        want, levels = _abs_rule_entries(w, ctx50, factors, shared)
+        calls = _count_sums(monkeypatch)
+        got = integrate_expression(w.expression(), w.interval, ctx50, factors, shared=tree,
+                                   endpoint_exponents=w.endpoint_exponents)
+        _same(got, want)
+        assert [calls[factor] for factor in factors] == levels
+        monkeypatch.undo()
+
+
+def test_cancelling_arbitrary_f_row_stops_at_its_integrand_scale(ctx50, monkeypatch):
+    # the additive n = 1 solution of exp(-x)(1+x)/2 on the half line, whose
+    # moments are 1, 3/2, 4: P = 16/7 - 6/7 x, so <x f[P]> = <x P> = 0
+    text, interval = "exp(-x)*(1+x)", Interval(0, "inf")
+    P = Polynomial([ctx50.scalar(Fraction(16, 7)), ctx50.scalar(Fraction(-6, 7))])
+    f = "(x^3+x)/(x^2+1)"
+    calls = _count_sums(monkeypatch)
+    report = check_arbitrary_f(P, f, _fresh(text, interval, ctx50), 1, context=ctx50)
+    # |S_7| is about 1e-61, below the 1e-60 the |S_k| rule would ask of it
+    assert calls[1, 1] == 7
+    monkeypatch.undo()
+    ctx100 = PrecisionContext(100)
+    precise = check_arbitrary_f(P, f, _fresh(text, interval, ctx100), 1, context=ctx100)
+    mp = ctx100.mp
+    coeffs = [mp.convert(c.value) for c in P.coeffs]
+    for j, (got, want) in enumerate(zip(report.values, precise.values)):
+        scale = mp.quad(lambda x: mp.exp(-x) * (1 + x) / 2 * abs(coeffs[0] + coeffs[1] * x)
+                        * x**j, [0, mp.inf])
+        assert abs(got.value - want.value) <= mp.mpf(10) ** -60 * scale
+    assert report.passed
+
+
+def test_functional_tables_sum_each_entry_once(ctx50, monkeypatch):
+    w = _fresh("x^(3/2)*(1-x)", Interval(0, 1), ctx50)
+    calls = _count_sums(monkeypatch)
+    table = generalized_moments(w, "sqrt(x)", 2, 2, context=ctx50)
+    summed = Counter(calls)
+    # (0, 0) is normalize's entry, kept on the weight's node set
+    assert set(summed) == {(k, j) for k in range(3) for j in range(3)} - {(0, 0)}
+    P = solve_functional(w, "sqrt(x)", 2, context=ctx50)
+    report = verify(P, w, Functional("sqrt(x)"), context=ctx50)
+    assert calls == summed  # both read the kept table
+    assert report.passed
+    monkeypatch.undo()
+    assert table == generalized_moments(_fresh("x^(3/2)*(1-x)", Interval(0, 1), ctx50),
+                                        "sqrt(x)", 2, 2, context=ctx50)
