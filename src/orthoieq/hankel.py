@@ -11,7 +11,11 @@ The degree-n solution exists iff det B_n != 0; the normalization factor is
 
 Every determinant here, and the dense solve, is one linalg elimination;
 on exact rational moments that elimination runs fraction-free on
-integer rows and forms one Fraction per result.
+integer rows and forms one Fraction per result. The determinant route
+P_n = det A_n / det B_n needs the n + 1 cofactors c_j of the first row
+of B_n, and one elimination gives them all: by Cramer's rule they are,
+on one scale (-1)^n / det C_n, the solution of C_n y = -(m_(n+1), ...,
+m_(2n)) with x^n appended, and det B_n = sum m_j c_j fixes the scale.
 
 One solve (solve_kernel) serves every kernel P(x + g(y)) with g a
 polynomial: the additive g = y, the shift a + b y and a polynomial f. Its
@@ -45,7 +49,7 @@ from .errors import (
 from .linalg import det_lu_flag, determinant, solve_full_pivot
 from .moments import on_exact_values
 from .numeric import PrecisionContext, Scalar, integer_rows, tolerance
-from .polynomials import Polynomial, _exact_dot, power_table
+from .polynomials import Polynomial, _exact_dot, inner_moment, power_table
 
 
 def _require(m, length, what):
@@ -189,25 +193,31 @@ def _singular_message(det, n):
 
 @on_exact_values
 def polynomial_via_determinants(m, n: int, *, context: PrecisionContext | None = None) -> Polynomial:
-    """Same polynomial as solve_polynomial, by cofactor expansion of det A_n / det B_n.
+    """Same polynomial as solve_polynomial, as the ratio det A_n / det B_n.
 
     A_n is B_n with its first row replaced by (1, x, ..., x^n), so the x^j
-    coefficient is (-1)^j det(minor_j) / det B_n with minor_j dropping
-    column j from the moment rows.
+    coefficient is the cofactor c_j = (-1)^j det(minor_j) over det B_n,
+    minor_j dropping column j from R, the moment rows 1..n of B_n. All
+    n + 1 cofactors come from one elimination: by Cramer's rule the
+    solution y of C_n y = -(column n of R) is c_j (-1)^n / det C_n, so
+    pi_n = y + x^n is the cofactor row on one scale, and expanding det B_n
+    along its first row, det B_n = sum m_j c_j, gives P_n = pi_n / <pi_n>_w.
+    det C_n = 0 (no pivot left) is a_n = (-1)^n det C_n / det B_n = 0.
+    Unlike solve_polynomial, this never solves against e_0 or runs the
+    recurrence.
     """
     _require(m, 2 * n + 1, f"polynomial_via_determinants(n={n})")
     det, valid = hankel_condition(m, n, context=context)
     if not valid:
         raise SingularHankelError(_singular_message(det, n))
     rows = _hankel(m, n + 1)[1:]
-    coeffs = []
-    sign = 1
-    for j in range(n + 1):
-        minor = [[row[c] for c in range(n + 1) if c != j] for row in rows]
-        cof = determinant(minor)
-        coeffs.append((cof if sign > 0 else -cof) / det)
-        sign = -sign
-    return _with_leading(coeffs, _degenerate_message(n))
+    try:
+        y = solve_full_pivot([row[:n] for row in rows], [-row[n] for row in rows])
+    except SingularSystemError:
+        raise DegenerateDegreeError(_degenerate_message(n)) from None
+    pi = Polynomial(y + [Scalar.exact(1)])
+    norm = inner_moment(pi, 0, m)
+    return _with_leading([c / norm for c in pi.coeffs], _degenerate_message(n))
 
 
 def _degenerate_message(n):

@@ -305,12 +305,24 @@ def inner_moment(P: Polynomial, k: int, m) -> Scalar:
 
 
 def orthogonality(Pn: Polynomial, Pm: Polynomial, m) -> Scalar:
-    """<x Pn Pm>: coefficient convolution, then a k=1 contraction."""
+    """<x Pn Pm> = sum_t (A * B)_t m_(t+1), A * B the coefficient convolution.
+
+    Real rows Pn = A 2^e_a / d_a, Pm = B 2^e_b / d_b and m_1.., rational or
+    binary float, clear once (_clear): _convolve of A and B meets the
+    moments in one _mu contraction, and the exact value of the inputs is
+    rounded once. Otherwise the product Pn * Pm is formed in Scalar order
+    and contracted by inner_moment with k = 1.
+    """
     if len(m) < Pn.degree + Pm.degree + 2:
         raise InsufficientMomentsError(
             f"<x Pn Pm> needs m_0..m_{Pn.degree + Pm.degree + 1}, got {len(m)} moments"
         )
-    return inner_moment(Pn * Pm, 1, m)
+    values = [m[t] for t in range(1, Pn.degree + Pm.degree + 2)]
+    rows, precision = _integer_rows(Pn.coeffs, Pm.coeffs, values)
+    if rows is None:
+        return inner_moment(Pn * Pm, 1, m)
+    (A, d_a, e_a), (B, d_b, e_b), moment_row = rows
+    return _scalars(_mu((_convolve(A, B), d_a * d_b, e_a + e_b), moment_row, 0), precision)[0]
 
 
 def shifted_inner(P: Polynomial, k: int, a, b, m) -> Scalar:

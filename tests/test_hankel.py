@@ -33,8 +33,9 @@ from orthoieq import (
     solve_polynomial,
 )
 from orthoieq import hankel
-from orthoieq.hankel import _hankel, recurrence_solve, solve_e0, solve_kernel
+from orthoieq.hankel import _hankel, recurrence_solve, solve_e0, solve_kernel, vanishes
 from orthoieq.linalg import determinant
+from orthoieq.moments import on_exact_values
 from orthoieq.numeric import IPiFraction
 from orthoieq.polynomials import power_table
 
@@ -241,6 +242,110 @@ class TestRouteEquivalence:
                 assert scalar_eq(ca, cb, tol=TOL35)
 
 
+# -- the determinant route against one elimination per cofactor --------------
+
+
+@on_exact_values
+def cofactor_route(m, n, *, context=None):
+    """The determinant route as n + 1 separate eliminations: the x^j
+    coefficient is (-1)^j det(minor_j) / det B_n, minor_j dropping column j
+    from rows 1..n of B_n, refused as singular by hankel_condition and as
+    degenerate when a_n vanishes, with the solve's texts."""
+    det, valid = hankel_condition(m, n, context=context)
+    if not valid:
+        raise SingularHankelError(
+            f"det B_{n} = {det} is zero (or below the validity threshold); "
+            f"no degree-{n} solution")
+    rows = _hankel(m, n + 1)[1:]
+    coeffs = []
+    for j in range(n + 1):
+        cofactor = determinant([[row[c] for c in range(n + 1) if c != j] for row in rows])
+        coeffs.append((-cofactor if j % 2 else cofactor) / det)
+    if vanishes(coeffs[-1], coeffs):
+        raise DegenerateDegreeError(
+            f"solved leading coefficient a_{n},{n} vanished; no degree-{n} solution")
+    return Polynomial(coeffs)
+
+
+def assert_same_route(m, n, context=None):
+    """polynomial_via_determinants(m, n) gives cofactor_route's outcome, which is returned."""
+    want = kernel_outcome(lambda: cofactor_route(m, n, context=context))
+    assert kernel_outcome(lambda: polynomial_via_determinants(m, n, context=context)) == want
+    return want
+
+
+@st.composite
+def integer_hankel_tables(draw):
+    """(m_0..m_2n, n): small integers, where "C singular" sets m_(2n-1), the
+    corner of C_n, so that det C_n = 0 and "B singular" sets m_(2n) so that
+    det B_n = 0; each determinant is linear in its corner, with slope the
+    determinant of the block one smaller, and a zero slope leaves the table."""
+    n = draw(st.integers(0, 6))
+    m = draw(st.lists(st.integers(-3, 3), min_size=2 * n + 1, max_size=2 * n + 1))
+    shape = draw(st.sampled_from(["any", "C singular", "B singular"]))
+    if shape == "C singular" and n and hankel_det(m[1:], n - 1):
+        m[2 * n - 1] = 0
+        m[2 * n - 1] = -hankel_det(m[1:], n) / hankel_det(m[1:], n - 1)
+    elif shape == "B singular" and hankel_det(m, n):
+        m[2 * n] = 0
+        m[2 * n] = -hankel_det(m, n + 1) / hankel_det(m, n)
+    return m, n
+
+
+class TestDeterminantRouteMatchesCofactors:
+    """One elimination of C_n gives the polynomial of the n + 1 cofactor
+    eliminations: value and type, or error class and text."""
+
+    @pytest.mark.parametrize("name,params", [
+        ("laguerre", {"gamma": "5/2"}),
+        ("jacobi-add", {"p": 3, "q": 2}),
+        ("chebyshev-u2-add", {}),
+        ("jacobi-mult", {"p": 3, "q": 2}),
+    ])
+    def test_presets_to_16(self, name, params):
+        m = moments(make_weight(name, params), 33, mode="exact")
+        for n in range(17):
+            assert all(t is Fraction for t, _, _ in assert_same_route(m, n))
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    @pytest.mark.parametrize("winding", [0, 1])
+    def test_contour_to_6(self, winding, mode, ctx50):
+        m = contour_moments(winding, 13, mode=mode, context=ctx50)
+        for n in range(7):
+            assert_same_route(m, n, None if mode == "exact" else ctx50)
+
+    @pytest.mark.parametrize("values,outcomes", [
+        ([1, 1, 1], [None, SingularHankelError]),  # a point mass at 1
+        ([1, Fraction(1, 2), Fraction(1, 4), 1, 1], [None, SingularHankelError, None]),
+        ([1, 0, 0, 0, 1], [None, SingularHankelError, SingularHankelError]),
+        ([1, 0, 1], [None, DegenerateDegreeError]),  # det C_1 = m_1 = 0, det B_1 = 1
+    ])
+    def test_singular_tables(self, values, outcomes):
+        m = MomentSequence.from_values(values)
+        for n, error in enumerate(outcomes):
+            got = assert_same_route(m, n)
+            assert (got[0] if isinstance(got, tuple) else None) is error
+
+    def test_uniform_symmetric_odd_degrees_are_degenerate(self):
+        m = moments(preset_weight("uniform-symmetric"), 21, mode="exact")
+        for n in range(11):
+            got = assert_same_route(m, n)
+            assert (got[0] is DegenerateDegreeError) == bool(n % 2)
+
+    @settings(max_examples=300, deadline=None)
+    @given(integer_hankel_tables())
+    def test_small_integer_tables(self, table):
+        values, n = table
+        m = [Scalar.exact(v) for v in values]  # any m_0: no normalized weight
+        for k in range(n + 1):
+            got = assert_same_route(m, k)
+        if not hankel_det(values, n + 1):
+            assert got[0] is SingularHankelError
+        elif not hankel_det(values[1:], n):
+            assert got == (DegenerateDegreeError, f"solved leading coefficient a_{n},{n} "
+                                                  f"vanished; no degree-{n} solution")
+
+
 class TestMomentConditions:
     @pytest.mark.parametrize("name,params", ADDITIVE_PRESETS)
     def test_exact_deltas(self, name, params):
@@ -298,7 +403,7 @@ def bareiss(matrix):
 
 
 def hankel_matrices(m, n):
-    """B_n, C_n, C_(n+1) and every cofactor minor of polynomial_via_determinants."""
+    """B_n, C_n, C_(n+1) and every cofactor minor of cofactor_route."""
     B = [[m[k + j] for j in range(n + 1)] for k in range(n + 1)]
     C = [[m[k + j + 1] for j in range(n)] for k in range(n)]
     C1 = [[m[k + j + 1] for j in range(n + 1)] for k in range(n + 1)]
@@ -579,7 +684,7 @@ def kernel_outcome(solve):
     """The coefficients as (type, precision, value), or the error's type and text."""
     try:
         return [(type(c.value), c.precision, c.value) for c in solve().coeffs]
-    except (DegenerateDegreeError, SingularSystemError) as exc:
+    except (DegenerateDegreeError, SingularHankelError, SingularSystemError) as exc:
         return type(exc), str(exc)
 
 

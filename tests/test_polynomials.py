@@ -333,6 +333,11 @@ def fraction_convolve(a, b):
     return out
 
 
+def fraction_orthogonality(a, b, m):
+    """<x Pn Pm> on Fractions: the convolution of a and b against m_1.."""
+    return sum(c * m[t + 1] for t, c in enumerate(fraction_convolve(a, b)))
+
+
 def fraction_power_rows(g, kmax, seq, width):
     """rows[k][j] = sum_t [x^t] g^k seq[t+j], k = 0..kmax, on Fractions."""
     rows, power = [], [Fraction(1)]
@@ -379,6 +384,11 @@ def check_rounded_once(P, Q, m, samples, shift, context):
     mu = [sum(c * mv[k + j] for j, c in enumerate(a)) for k in range(n + 1)]
     assert_identical(multiplicative_image(P, m).coeffs,
                      rounded([c * v for c, v in zip(a, mu)], context))
+    for R in (P, Q):
+        if len(m) >= n + R.degree + 2:
+            assert_identical([orthogonality(P, R, m)],
+                             rounded([fraction_orthogonality(a, [X(c) for c in R.coeffs], mv)],
+                                     context))
 
 
 class TestRawContractionsMatchScalarArithmetic:
@@ -525,6 +535,29 @@ def test_dyadic_contractions_and_residuals_round_once(data, n, rational_shift, z
         want = [round_once(abs(horner(a, x) - horner(image, x)), ctx) for x in xs]
         assert [(r.precision, r.value) for r in report.residuals] == [(50, v) for v in want]
         assert report.passed == (max(want) <= ctx.mp.mpf(10) ** -40 * scale)
+
+
+class TestOrthogonalityRows:
+    """<x Pn Pm> sums real rows on integers (check_rounded_once covers float
+    rows); rows that are not real keep the Scalar product Pn * Pm."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), extra=st.integers(0, 2))
+    def test_rational_rows_are_the_fraction_sum(self, data, extra):
+        a = data.draw(st.lists(ENTRY, max_size=5)) + [data.draw(NONZERO)]
+        b = data.draw(st.lists(ENTRY, max_size=5)) + [data.draw(NONZERO)]
+        size = len(a) + len(b) + extra
+        m = [Scalar.exact(v) for v in data.draw(st.lists(ENTRY, min_size=size, max_size=size))]
+        want = fraction_orthogonality(a, b, [v.value for v in m])
+        assert_identical([orthogonality(Polynomial(a), Polynomial(b), m)], [Scalar(want)])
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_rows_that_are_not_real(self, mode, ctx50):
+        m = moments(contour_weight(0), 13, mode=mode, context=ctx50)
+        P = solve_polynomial(m, 5, context=ctx50)
+        for Q in (P, Polynomial([I_PI, Fraction(2, 3), 1]), Polynomial([Fraction(1, 3), -2, 5])):
+            assert_identical([orthogonality(P, Q, m), orthogonality(Q, Q, m)],
+                             [inner_moment(P * Q, 1, m), inner_moment(Q * Q, 1, m)])
 
 
 class TestMixedFloatPrecisions:
