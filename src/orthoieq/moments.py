@@ -34,7 +34,10 @@ class MomentSequence:
 
     A float sequence rounded from a closed form keeps the exact Scalars it
     was rounded from in `exact`; every other sequence has exact = None.
-    The field takes no part in ==, hash or repr.
+    `memo` holds what routines derive from these values and keep for later
+    calls: the sequence of the exact values (on_exact_values) and each
+    hankel.ChebyshevPass. A new sequence, from dataclasses.replace too,
+    starts with an empty memo. Neither field takes part in ==, hash or repr.
     """
 
     values: tuple
@@ -42,6 +45,7 @@ class MomentSequence:
     weight_id: str
     error_estimates: tuple | None = None
     exact: tuple | None = field(default=None, compare=False, repr=False)
+    memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.values:
@@ -73,14 +77,18 @@ class MomentSequence:
 def on_exact_values(func):
     """func(m, ...) on m.exact when m carries exact values, with each Scalar of
     the result (in a Polynomial, tuple, list or dataclass too) rounded once
-    at m[0].precision and the exact run's errors; else func(m, ...)."""
+    at m[0].precision and the exact run's errors; else func(m, ...). The
+    exact values are one MomentSequence, made once and kept in m.memo, so
+    every routine run on them shares its memo."""
 
     @functools.wraps(func)
     def run(m, *args, **kwargs):
-        exact = getattr(m, "exact", None)
-        if exact is None:
+        if getattr(m, "exact", None) is None:
             return func(m, *args, **kwargs)
-        return _round_once(func(exact, *args, **kwargs), PrecisionContext(m[0].precision))
+        if "exact" not in m.memo:
+            m.memo["exact"] = MomentSequence(m.exact, m.source, m.weight_id)
+        return _round_once(func(m.memo["exact"], *args, **kwargs),
+                           PrecisionContext(m[0].precision))
 
     return run
 

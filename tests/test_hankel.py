@@ -1,5 +1,7 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
+from math import gcd
 
 import pytest
 import sympy as sp
@@ -17,6 +19,7 @@ from orthoieq import (
     SingularHankelError,
     SingularSystemError,
     contour_moments,
+    contour_weight,
     enumerate_multiplicative,
     hankel_condition,
     inner_moment,
@@ -34,9 +37,9 @@ from orthoieq import (
 )
 from orthoieq import hankel
 from orthoieq.hankel import _hankel, recurrence_solve, solve_e0, solve_kernel, vanishes
-from orthoieq.linalg import determinant
+from orthoieq.linalg import det_lu_flag, determinant
 from orthoieq.moments import on_exact_values
-from orthoieq.numeric import IPiFraction
+from orthoieq.numeric import IPiFraction, integer_rows
 from orthoieq.polynomials import power_table
 
 from conftest import ADDITIVE_PRESETS, ENTRY, I_PI, from_sympy, make_weight, rounded_outcome
@@ -731,32 +734,47 @@ class TestSolveKernel:
                 assert kernel_outcome(lambda: solve_kernel(m, n, g, "degenerate")) == want
 
     def test_linear_g_runs_the_recurrence_and_no_table(self, monkeypatch):
-        """One recurrence call and no power_table for an exact linear g; the
-        table alone for a quadratic f."""
+        """An exact linear g steps a Chebyshev pass and builds no power_table;
+        a quadratic f builds the table alone. Degrees 0..6 of one sequence
+        take 6 steps of one pass, and G_n and det B_n read it: no elimination,
+        however often they are asked."""
         calls = []
 
-        def counted(name, fn):
-            def run(*args):
-                calls.append(name)
-                return fn(*args)
-            monkeypatch.setattr(hankel, name, run)
+        def counted(owner, name):
+            fn = getattr(owner, name)
 
-        counted("recurrence_solve", hankel.recurrence_solve)
-        counted("power_table", hankel.power_table)
+            def run(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(owner, name, run)
+
+        for name in ("power_table", "det_lu_flag", "determinant", "solve_full_pivot"):
+            counted(hankel, name)
+        counted(hankel.ChebyshevPass, "_step")
         w = preset_weight("laguerre", gamma=1)
-        m = moments(w, 13, mode="exact")
+        m = moments(w, 14, mode="exact")
         for solve in (lambda: solve_polynomial(m, 6), lambda: solve_linear_shift(m, 6, 1, 2),
                       lambda: solve_functional(w, "2*x+1", 6, mode="exact")):
             calls.clear()
             solve()
-            assert calls == ["recurrence_solve"]
+            assert calls == ["_step"] * 6
         assert solve_functional(w, "2*x+1", 6, mode="exact") == solve_linear_shift(m, 6, 1, 2)
         calls.clear()
+        fresh = moments(w, 14, mode="exact")
+        assert [solve_polynomial(fresh, n) for n in range(7)] == [
+            solve_polynomial(m, n) for n in range(7)]
+        assert calls == ["_step"] * 6
+        calls.clear()
+        for _ in range(2):
+            for n in range(7):
+                normalization(fresh, n)
+                hankel_condition(fresh, n)
+        assert calls == []
         solve_polynomial(moments(preset_weight("uniform-symmetric"), 9, mode="exact"), 4)
-        assert calls == ["recurrence_solve"]  # it breaks down, and B_n is no power_table
+        assert calls == ["solve_full_pivot"]  # it breaks down, and B_n is no power_table
         calls.clear()
         solve_functional(w, "x^2+x", 4, mode="exact")
-        assert calls == ["power_table"]
+        assert calls == ["power_table", "solve_full_pivot"]
 
 
 # -- float moments from a closed form: solved exactly, rounded once ----------
@@ -975,3 +993,264 @@ class TestDenseFloatRoute:
             calls.clear()
             solve_polynomial(m, 4, context=ctx50)
             assert calls == ["det_lu_flag", "solve_full_pivot"]
+
+
+# -- one Chebyshev pass per table: every degree, G_n and det B_n --------------
+
+
+def per_call_recurrence(m, nu, n):
+    """pi_n / <pi_n>_w by the fraction-free recurrence restarted from k = 0 for
+    every call, on rows no longer than degree n needs, or None on breakdown:
+    the loop ChebyshevPass replaced, kept as its reference."""
+    cleared = integer_rows([nu])
+    [sigma], pi = cleared or ([list(nu)], [Fraction(1)])
+    prev, sigma_prev, d_prev, e_prev = [], [0] * len(nu), 1, 0
+    for k in range(n):
+        d, e = sigma[k], sigma[k + 1]
+        if not d:
+            return None
+        if cleared is None:
+            e = e / d
+            q, r, x_sigma, nxt = e - e_prev, d / d_prev, sigma[1:], [0] + pi
+        else:
+            p, q, r = d * d_prev, e * d_prev - e_prev * d, d * d
+            x_sigma, nxt = [p * v for v in sigma[1:]], [0] + [p * c for c in pi]
+        for i, c in enumerate(pi):
+            nxt[i] -= q * c
+        for i, c in enumerate(prev):
+            nxt[i] -= r * c
+        ahead = [0] * (k + 1) + [x_sigma[l] - q * sigma[l] - r * sigma_prev[l]
+                                 for l in range(k + 1, 2 * n - k - 1)]
+        if cleared is not None:
+            content = gcd(*nxt, *ahead)
+            nxt, ahead = [v // content for v in nxt], [v // content for v in ahead]
+        prev, pi, sigma_prev, sigma, d_prev, e_prev = pi, nxt, sigma, ahead, d, e
+    norm = sum(c * m[j] for j, c in enumerate(pi))
+    return [c / norm for c in pi] if norm else None
+
+
+def dense_condition(m, n):
+    """det B_n and its validity by one elimination of B_n."""
+    det, collapsed = det_lu_flag(_hankel(m, n + 1), None)
+    return det, not collapsed
+
+
+def dense_normalization(m, n):
+    """(det C_n)(det C_(n+1)) / (det B_n)^2 by elimination, with normalization's error."""
+    det_b, valid = dense_condition(m, n)
+    if not valid:
+        raise SingularHankelError(
+            f"det B_{n} = {det_b} is zero (or below the validity threshold); G_{n} undefined")
+    return determinant(_hankel(m, n, 1)) * determinant(_hankel(m, n + 1, 1)) / (det_b * det_b)
+
+
+def dense_polynomial(m, n):
+    """B_n a = e_0 by elimination, with solve_polynomial's errors."""
+    try:
+        return dense_solution(m, n)
+    except SingularSystemError:
+        raise SingularHankelError(f"det B_{n} = 0 is zero (or below the validity threshold); "
+                                  f"no degree-{n} solution") from None
+
+
+def typed(call):
+    """call()'s Scalars as (type, precision, value), in a Polynomial or tuple too,
+    or the error's class and text."""
+    def walk(value):
+        if isinstance(value, Scalar):
+            return type(value.value), value.precision, value.value
+        if isinstance(value, Polynomial):
+            return [walk(c) for c in value.coeffs]
+        if isinstance(value, tuple):
+            return tuple(walk(v) for v in value)
+        return value
+    try:
+        return walk(call())
+    except (DegenerateDegreeError, SingularHankelError, SingularSystemError,
+            InsufficientMomentsError) as exc:
+        return type(exc), str(exc)
+
+
+def pass_routes(m, n, context=None, determinants=True):
+    """P_n, G_n and (det B_n, valid) of the library, and the determinant route."""
+    found = (typed(lambda: solve_polynomial(m, n, context=context)),
+             typed(lambda: normalization(m, n, context=context)),
+             typed(lambda: hankel_condition(m, n, context=context)))
+    if determinants:
+        found += (typed(lambda: polynomial_via_determinants(m, n, context=context)),)
+    return found
+
+
+def dense_routes(m, n):
+    """What pass_routes gives, by the dense eliminations alone."""
+    P = typed(lambda: dense_polynomial(m, n))
+    return P, typed(lambda: dense_normalization(m, n)), typed(lambda: dense_condition(m, n)), P
+
+
+def orders(top):
+    """Degrees 0..top ascending, descending and shuffled."""
+    shuffled = list(range(top + 1))
+    random.Random(top).shuffle(shuffled)
+    return [list(range(top + 1)), list(range(top, -1, -1)), shuffled]
+
+
+def in_every_order(make, top, routes):
+    """routes(m, n) for n = 0..top, each order on a fresh table make(); every
+    order must give the same outcomes, which are returned by degree."""
+    found = []
+    for order in orders(top):
+        m = make()
+        found.append({n: routes(m, n) for n in order})
+    assert found[0] == found[1] == found[2]
+    return found[0]
+
+
+class TestChebyshevPass:
+    """One pass per (table, exact linear g) gives every degree: P_n of the
+    per-call loop, G_n and det B_n of the dense determinants, or the dense
+    route's error class and text, with the same values and types in any
+    order the degrees are asked."""
+
+    @pytest.mark.parametrize("name,params", [
+        ("laguerre", {"gamma": 1}),
+        ("jacobi-add", {"p": 3, "q": 2}),
+        ("chebyshev-u2-add", {}),
+        ("jacobi-mult", {"p": 3, "q": 2}),
+        ("uniform-symmetric", {}),  # m_1 = 0: every degree past 0 takes the dense route
+    ])
+    def test_presets_to_40(self, name, params):
+        def make():
+            return moments(make_weight(name, params), 82, mode="exact")
+        found = in_every_order(make, 40, lambda m, n: pass_routes(m, n, determinants=False))
+        m = make()
+        raw = [v.value for v in m.values]
+        det_b = [determinant(_hankel(m, n + 1)) for n in range(41)]
+        det_c = [determinant(_hankel(m, k, 1)) for k in range(42)]
+        for n in range(41):
+            P, G, condition = found[n]
+            want = per_call_recurrence(raw, raw[1:2 * n + 1], n)
+            if want is None:
+                assert name == "uniform-symmetric" and n
+                assert P == typed(lambda: dense_polynomial(m, n))
+            else:
+                assert P == [(Fraction, None, c) for c in want]
+            assert condition == ((Fraction, None, det_b[n].value), True)
+            assert G == (Fraction, None, (det_c[n] * det_c[n + 1] / det_b[n] ** 2).value)
+
+    @pytest.mark.parametrize("winding", [0, 1])
+    def test_contour_to_10(self, winding):
+        def make():
+            return contour_moments(winding, 22, mode="exact")
+        found = in_every_order(make, 10, pass_routes)
+        m = make()
+        assert {n: dense_routes(m, n) for n in range(11)} == found
+        assert any(t is IPiFraction for n in range(1, 11) for t, _, _ in found[n][0])
+
+    @pytest.mark.parametrize("source", ["laguerre", "contour"])
+    def test_shift_in_every_order(self, source):
+        a, b = Fraction(9, 2), Fraction(2)
+        top = 40 if source == "laguerre" else 10
+
+        def make():
+            if source == "contour":
+                return contour_moments(0, 2 * top + 1, mode="exact")
+            return moments(preset_weight("laguerre", gamma=Fraction(13, 2)), 2 * top + 1,
+                           mode="exact")
+        found = in_every_order(make, top, lambda m, n: typed(
+            lambda: solve_linear_shift(m, n, a, b)))
+        m = make()
+        raw = [v.value for v in m.values]
+        nu = [a * raw[j] + b * raw[j + 1] for j in range(2 * top)]
+        for n in range(top + 1):
+            want = per_call_recurrence(raw, nu[:2 * n], n)
+            assert [value for _, _, value in found[n]] == want
+            if n <= 10:
+                assert found[n] == typed(lambda: solve_e0(power_table([a, b], n, m, n + 1),
+                                                          "degenerate"))
+
+    @pytest.mark.parametrize("n", [0, 1, 5, 12])
+    def test_table_of_2n_plus_2_moments(self, n):
+        """sigma_nn is in the table, so G_n reads the pass; the step to degree
+        n + 1 is not, and degree n + 1 keeps the dense route's error."""
+        for w in (preset_weight("laguerre", gamma=Fraction(13, 2)), contour_weight(0)):
+            m = moments(w, 2 * n + 2, mode="exact")
+            assert pass_routes(m, n) == dense_routes(m, n)
+            chebyshev = hankel.chebyshev_pass(m, hankel.ADDITIVE, 2 * n + 2)
+            assert len(chebyshev.pis) == len(chebyshev.diagonal) == n + 1
+            P, G, condition, _ = pass_routes(m, n + 1)
+            assert P == condition == (InsufficientMomentsError, f"B_{n + 1} needs "
+                                      f"m_0..m_{2 * n + 2}, got only {2 * n + 2} moments")
+            assert G == (InsufficientMomentsError, f"normalization(n={n + 1}) needs "
+                         f"m_0..m_{2 * n + 3}, got only {2 * n + 2} moments")
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_breakdowns_keep_the_dense_errors(self, data):
+        """Small-integer tables with m_0 = 1, where "minor" makes det C_k = 0
+        through its corner m_(2k-1), so sigma_(k-1,k-1) = 0 mid-pass, and
+        "zero norm" makes det B_n = 0 through m_(2n), so <pi_n>_w = 0."""
+        n = data.draw(st.integers(1, 6))
+        values = [1] + data.draw(st.lists(st.integers(-3, 3), min_size=2 * n + 1,
+                                          max_size=2 * n + 1))
+        shape = data.draw(st.sampled_from(["any", "minor", "zero norm"]))
+        if shape == "minor":
+            k = data.draw(st.integers(1, n))
+            if hankel_det(values[1:], k - 1):
+                values[2 * k - 1] = 0
+                values[2 * k - 1] = -hankel_det(values[1:], k) / hankel_det(values[1:], k - 1)
+        elif shape == "zero norm" and hankel_det(values, n):
+            values[2 * n] = 0
+            values[2 * n] = -hankel_det(values, n + 1) / hankel_det(values, n)
+        found = in_every_order(lambda: MomentSequence.from_values(values), n, pass_routes)
+        m = MomentSequence.from_values(values)
+        assert found == {k: dense_routes(m, k) for k in range(n + 1)}
+        chebyshev = hankel.chebyshev_pass(m, hankel.ADDITIVE, 2 * n + 2)
+        broken = any(not hankel_det(values[1:], k) for k in range(1, n + 1))
+        assert (chebyshev.solution(n) is None) == (broken or not hankel_det(values, n + 1))
+
+
+class TestPassMemo:
+    """The pass lives on the MomentSequence that owns the values: it takes no
+    part in ==, hash or repr, and no other table reads it."""
+
+    def test_eq_hash_and_repr_ignore_the_memo(self, ctx50):
+        for mode in ("exact", "float"):
+            m = moments(preset_weight("laguerre", gamma=1), 22, mode=mode, context=ctx50)
+            bare = MomentSequence(m.values, m.source, m.weight_id)
+            before = hash(m), repr(m)
+            for n in range(11):
+                solve_polynomial(m, n, context=ctx50)
+                normalization(m, n, context=ctx50)
+            assert m.memo and not bare.memo
+            assert (hash(m), repr(m)) == before == (hash(bare), repr(bare))
+            assert m == bare
+            assert "memo" not in repr(m)
+
+    def test_other_values_never_read_the_pass(self):
+        lag = moments(preset_weight("laguerre", gamma=1), 22, mode="exact")
+        jac = moments(preset_weight("jacobi-add", p=3, q=2), 22, mode="exact")
+        want = [pass_routes(MomentSequence.from_values(jac.values), n) for n in range(11)]
+        for n in range(11):
+            pass_routes(lag, n)
+        for other in (replace(lag, values=jac.values), replace(lag, values=jac.values[:12]),
+                      MomentSequence(jac.values, lag.source, lag.weight_id)):
+            assert other.memo == {}
+            top = (len(other) - 2) // 2
+            assert [pass_routes(other, n) for n in range(top + 1)] == want[:top + 1]
+        assert replace(lag).memo == {}
+
+    @pytest.mark.parametrize("precision", [20, 50])
+    def test_float_closed_forms_round_the_exact_records_once(self, precision):
+        ctx = PrecisionContext(precision)
+        for w in (preset_weight("laguerre", gamma=Fraction(13, 2)), contour_weight(0)):
+            exact = moments(w, 22, mode="exact")
+            want = {n: [rounded_outcome(lambda: call(exact, n), ctx) for call in (
+                solve_polynomial, normalization, hankel_condition)] for n in range(11)}
+            for order in orders(10):
+                rounded = moments(w, 22, context=ctx)
+                for n in order:
+                    assert [rounded_outcome(lambda: call(rounded, n, context=ctx)) for call in (
+                        solve_polynomial, normalization, hankel_condition)] == want[n]
+                shared = rounded.memo["exact"]
+                assert list(rounded.memo) == ["exact"] and shared.values == exact.values
+                assert len(hankel.chebyshev_pass(shared, hankel.ADDITIVE, 22).pis) == 11
